@@ -11,9 +11,9 @@ trace-event document, and fails unless:
    (same count, bit-identical readings); and
 3. for **every** traced activity — every one-shot query, window close and
    injection batch — the reconstructed critical path is exact: each
-   fork-join section satisfies ``post == pre + critical_branch_ns`` and
-   the walked total equals the activity meter's recorded latency bit for
-   bit.
+   fork-join section satisfies ``post == pre + critical_branch_ps`` in
+   integer picoseconds and the walked total equals the activity meter's
+   recorded latency exactly.
 
 Usage::
 

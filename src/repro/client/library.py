@@ -165,7 +165,7 @@ class ClientLibrary:
                     out_row.append(None)
             decoded.append(tuple(out_row))
         client_meter = LatencyMeter()
-        client_meter.charge(meter.ns)
+        client_meter.charge_ps(meter.ps)
         if self.include_network:
             payload = _REQUEST_BYTES + _ROW_BYTES * len(result.rows)
             self.engine.cluster.fabric.message(client_meter, payload,

@@ -99,14 +99,6 @@ class WindowAccess:
         # distributed branches get on-demand replicas (§4.2).
         self._index_local = force_local_index or \
             registry.is_local(stream_schema.name, home_node)
-        #: True when no access through this window can ever price a
-        #: fractional (remote) read: single-node clusters with a local
-        #: index read only local spans and transients.  All remaining
-        #: charges are integers, which sum exactly in any order — so
-        #: callers may freely reorder or aggregate them (the batch
-        #: kernels' fused index-expansion path relies on this).
-        self.charges_commute = self._index_local \
-            and len(cluster.nodes) == 1
         #: eid -> is-timing memo (the schema and string table never remap
         #: an encoded predicate, so the classification is stable).
         self._timing_eids: Dict[int, bool] = {}
@@ -144,12 +136,10 @@ class WindowAccess:
         """Neighbour lists for every distinct start, keyed by start.
 
         Probes deduplicate in first-occurrence order — exactly the batch
-        kernels' per-expansion cache — so charges accumulate identically
-        to calling :meth:`neighbors` per distinct start.  The columnar
-        path additionally aggregates the integer charges of all starts,
-        emitting the pending counters before each (order-sensitive,
-        fractional) remote read: integer partial sums are exact, so the
-        meter stays bit-identical to the row path.
+        kernels' per-expansion cache — and charge what calling
+        :meth:`neighbors` per distinct start charges.  The columnar path
+        counts the probe and scan charges of all starts and charges them
+        once at the end (meters sum exact integer picoseconds).
         """
         fetched: Dict[int, List[int]] = {}
         if self._is_timing(eid):
@@ -178,22 +168,8 @@ class WindowAccess:
         scan_ns = cost.scan_entry_ns
         eid_bits = (eid << _EID_SHIFT) | d
         hits = 0
-        # Pending integer charges, accumulated as plain counters and
-        # emitted before every fractional remote read (and once at the
-        # end).  Integer partial sums are exact in any order, so the
-        # meter — total and per-category breakdown — stays bit-identical
-        # to the row path's per-probe/per-span charges.
         probe_acc = 0
         scan_acc = 0
-
-        def _emit_pending():
-            nonlocal probe_acc, scan_acc
-            if probe_acc:
-                meter.charge(probe_ns, times=probe_acc, category="store")
-                probe_acc = 0
-            if scan_acc:
-                meter.charge(scan_ns, times=scan_acc, category="store")
-                scan_acc = 0
 
         # C-level first-occurrence dedup: the loop below runs once per
         # distinct start instead of once per row.  The view's cache-hit
@@ -202,7 +178,6 @@ class WindowAccess:
         cols: Dict[int, object] = {}
         for start in dict.fromkeys(starts):
             if not index_local:
-                _emit_pending()
                 fabric.remote_read(meter, _PROBE_BYTES, category="network")
             probe_acc += probes
             col = columns_get((start << _VID_SHIFT) | eid_bits, _MISSING)
@@ -216,12 +191,16 @@ class WindowAccess:
                 continue
             for owner, span in col.merged:
                 if owner != home:
-                    _emit_pending()
                     fabric.remote_read(meter, 16 + 8 * span.length,
                                        category="network")
                 scan_acc += span.length
             fetched[start] = col.values
-        _emit_pending()
+        # Guarded: a zero-times charge would create a category the
+        # per-start path never creates.
+        if probe_acc:
+            meter.charge(probe_ns, times=probe_acc, category="store")
+        if scan_acc:
+            meter.charge(scan_ns, times=scan_acc, category="store")
         if hits:
             view.hits += hits
         self._last_fetch = (fetched, cols)

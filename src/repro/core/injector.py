@@ -26,7 +26,7 @@ from repro.core.stream_index import IndexSlice
 from repro.core.transient import TransientStore
 from repro.rdf.ids import DIR_IN, DIR_OUT, _EID_SHIFT, _VID_SHIFT
 from repro.rdf.terms import EncodedTuple
-from repro.sim.cost import ChargeSet, LatencyMeter
+from repro.sim.cost import ChargeSet, LatencyMeter, scale_ps
 from repro.store.distributed import DistributedStore
 from repro.store.kvstore import _PRED_BITS, _PRED_MASK, _TopKSketch
 
@@ -92,7 +92,7 @@ class Injector:
         creates.  It is None for streams carrying only timing data (e.g.
         LSBench's GPS stream), which need no stream index.
         """
-        base_ns = meter.ns if meter is not None else 0.0
+        base_ps = meter.ps if meter is not None else 0
         branches: List[LatencyMeter] = []
         out_parts = self._partition(node_batch.out_timeless, True)
         in_parts = self._partition(node_batch.in_timeless, False)
@@ -126,10 +126,10 @@ class Injector:
                 node_batch.batch_no, [], [], meter=meter)
 
         if meter is not None and self.slowdown > 1.0:
-            worked_ns = meter.ns - base_ns
-            if worked_ns > 0:
-                meter.charge((self.slowdown - 1.0) * worked_ns,
-                             category="straggle")
+            worked_ps = meter.ps - base_ps
+            if worked_ps > 0:
+                meter.charge_ps(scale_ps(worked_ps, self.slowdown - 1.0),
+                                "straggle")
 
     def _inject_half(self, shard, part: List[EncodedTuple],
                      by_subject: bool, sn: int,
@@ -150,9 +150,9 @@ class Injector:
           first-occurrence key order — exactly the order keys first
           appeared in the per-entry path.
 
-        All the charges involved are integer-valued and aggregate through
-        the caller's :class:`ChargeSet`, so the flushed branch total is
-        bit-identical to the per-tuple path's.
+        All the charges involved aggregate through the caller's
+        :class:`ChargeSet`; meters sum exact integer picoseconds, so the
+        flushed branch total equals the per-tuple path's.
         """
         if not part:
             return

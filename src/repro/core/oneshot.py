@@ -20,7 +20,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.coordinator import Coordinator
 from repro.sim.cluster import Cluster
-from repro.sim.cost import LatencyMeter
+from repro.sim.cost import LatencyMeter, scale_ps
 from repro.sparql.ast import Query
 from repro.sparql.planner import ExecutionPlan, plan_order, plan_query
 from repro.store.distributed import DistributedStore, PersistentAccess
@@ -150,8 +150,8 @@ class OneShotEngine:
         result = self.explorer.execute(plan, factory, meter,
                                        home_node=home_node)
         if contended and self.contention_factor > 0:
-            meter.charge(meter.ns * self.contention_factor,
-                         category="contention")
+            meter.charge_ps(scale_ps(meter.ps, self.contention_factor),
+                            "contention")
             if act is not None:
                 act.mark("contention")
         if act is not None:

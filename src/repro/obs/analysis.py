@@ -6,16 +6,15 @@ the root track, plus — at every fork/join section — the branch
 ``join_parallel`` selected (the first strict maximum, exactly as the
 meter folds branches).
 
-Exactness contract: :func:`critical_path` re-walks the recorded readings
-with the same float operations the meter performed.  Sequential segments
-end at recorded readings (adopted, never re-derived by subtraction), and
-each join is replayed as ``pre + critical_branch_ns``, the literal
-addition :meth:`LatencyMeter.add` executed — so the walked total equals
-the meter's final reading **bit for bit**, and any instrumentation gap or
-branch-accounting error breaks one of the per-join equalities instead of
-hiding in float noise.  ``CriticalPath.exact`` reports whether every
-equality held; the obs CI stage (``scripts/check_trace.py``) fails when
-it does not.
+Exactness contract: span readings are the meter's integer picoseconds,
+so the walk is exact integer arithmetic.  Sequential segments span
+consecutive recorded readings, and each join is checked as ``post ==
+pre + critical_branch_ps`` — the addition :meth:`LatencyMeter.add`
+performed — so the walked total equals the meter's final reading
+exactly, and any instrumentation gap or branch-accounting error breaks
+one of the per-join equalities.  ``CriticalPath.exact`` reports whether
+every equality held; the obs CI stage (``scripts/check_trace.py``)
+fails when it does not.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.obs.trace import ACTIVITY, BRANCH, JOIN, PHASE, Span
+from repro.sim.cost import PS_PER_NS
 
 
 @dataclass
@@ -32,8 +32,12 @@ class PathSegment:
 
     name: str
     kind: str  # "seq" (root-track interval) or "branch" (joined branch)
-    ns: float
+    ps: int
     labels: Dict = field(default_factory=dict)
+
+    @property
+    def ns(self) -> float:
+        return self.ps / PS_PER_NS
 
 
 @dataclass
@@ -43,15 +47,19 @@ class CriticalPath:
     activity: Span
     segments: List[PathSegment]
     #: The walked total (== activity meter's final reading when exact).
-    total_ns: float
-    #: Every join equality ``post == pre + critical_branch_ns`` held and
+    total_ps: int
+    #: Every join equality ``post == pre + critical_branch_ps`` held and
     #: the chain covered the activity without unexplained readings.
     exact: bool
     problems: List[str] = field(default_factory=list)
 
     @property
+    def total_ns(self) -> float:
+        return self.total_ps / PS_PER_NS
+
+    @property
     def total_ms(self) -> float:
-        return self.total_ns / 1e6
+        return self.total_ps / 1_000_000_000
 
 
 def _index_spans(spans: Sequence[Span]):
@@ -67,7 +75,7 @@ def critical_path(spans: Sequence[Span], activity: Span) -> CriticalPath:
         raise ValueError(f"not an activity span: {activity!r}")
     children = _index_spans(spans).get(activity.sid, [])
     joins = sorted((s for s in children if s.kind == JOIN),
-                   key=lambda s: (s.t0, s.sid))
+                   key=lambda s: (s.t0_ps, s.sid))
     branches: Dict[int, List[Span]] = {}
     for span in children:
         if span.kind == BRANCH and span.group is not None:
@@ -75,60 +83,57 @@ def critical_path(spans: Sequence[Span], activity: Span) -> CriticalPath:
 
     segments: List[PathSegment] = []
     problems: List[str] = []
-    cur = activity.t0
+    cur = activity.t0_ps
     for join in joins:
-        if join.t0 < cur:
+        if join.t0_ps < cur:
             problems.append(
-                f"join {join.name!r} starts at {join.t0} before the "
+                f"join {join.name!r} starts at {join.t0_ps} ps before the "
                 f"walk reached it ({cur})")
-        if join.t0 != cur:
+        if join.t0_ps != cur:
             segments.append(PathSegment(name="seq", kind="seq",
-                                        ns=join.t0 - cur))
-        # Adopt the recorded reading: sequential work on the root track
-        # is exact by construction (it *is* the meter's accumulation).
-        cur = join.t0
+                                        ps=join.t0_ps - cur))
+        cur = join.t0_ps
         group = sorted(branches.get(join.group, []), key=lambda s: s.sid)
         critical = [s for s in group if s.critical]
         if len(critical) != 1:
             problems.append(
                 f"join {join.name!r}: {len(critical)} critical branches "
                 f"recorded (want exactly 1)")
-            cur = join.t1
+            cur = join.t1_ps
             continue
         chosen = critical[0]
         # Replay join_parallel's selection: first strict maximum.
         slowest = None
         for span in group:
-            if slowest is None or span.t1 > slowest.t1:
+            if slowest is None or span.t1_ps > slowest.t1_ps:
                 slowest = span
         if slowest is not chosen:
             problems.append(
                 f"join {join.name!r}: marked critical branch "
                 f"{chosen.name!r} is not the first maximum")
-        # The literal float addition the meter performed at the join.
-        walked = cur + chosen.ns
-        if walked != join.t1:
+        # The addition the meter performed at the join.
+        walked = cur + chosen.ps
+        if walked != join.t1_ps:
             problems.append(
                 f"join {join.name!r}: pre ({cur}) + branch "
-                f"({chosen.ns}) = {walked} != post ({join.t1})")
+                f"({chosen.ps}) = {walked} != post ({join.t1_ps}) ps")
         segments.append(PathSegment(
             name=f"{join.name}/{chosen.name}", kind="branch",
-            ns=chosen.ns, labels=dict(chosen.labels)))
-        cur = join.t1
-    if activity.t1 < cur:
-        problems.append(
-            f"activity ends at {activity.t1} before its last join ({cur})")
-    if activity.t1 != cur:
+            ps=chosen.ps, labels=dict(chosen.labels)))
+        cur = join.t1_ps
+    if activity.t1_ps < cur:
+        problems.append(f"activity ends at {activity.t1_ps} ps before its "
+                        f"last join ({cur})")
+    if activity.t1_ps != cur:
         segments.append(PathSegment(name="seq", kind="seq",
-                                    ns=activity.t1 - cur))
-    cur = activity.t1
-    total = cur - activity.t0 if activity.t0 else cur
+                                    ps=activity.t1_ps - cur))
+    total = activity.ps
     meter_ns = activity.labels.get("meter_ns")
-    if meter_ns is not None and total != meter_ns:
+    if meter_ns is not None and total / PS_PER_NS != meter_ns:
         problems.append(
-            f"walked total {total} != recorded meter_ns {meter_ns}")
+            f"walked total {total} ps != recorded meter_ns {meter_ns}")
     return CriticalPath(activity=activity, segments=segments,
-                        total_ns=total, exact=not problems,
+                        total_ps=total, exact=not problems,
                         problems=problems)
 
 
@@ -148,7 +153,7 @@ def render_flame(spans: Sequence[Span], activity: Span,
     simulated duration; branch spans are indented under their join,
     critical branches marked ``*``.
     """
-    total = activity.t1 - activity.t0
+    total = activity.ns
     by_parent = _index_spans(spans)
 
     def bar(ns: float) -> str:
@@ -162,7 +167,7 @@ def render_flame(spans: Sequence[Span], activity: Span,
                         sorted(activity.labels.items())
                         if k != "meter_ns")]
     children = sorted(by_parent.get(activity.sid, []),
-                      key=lambda s: (s.t0, s.sid))
+                      key=lambda s: (s.t0_ps, s.sid))
     groups: Dict[int, List[Span]] = {}
     for span in children:
         if span.kind == BRANCH and span.group is not None:

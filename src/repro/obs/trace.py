@@ -4,13 +4,14 @@ A :class:`Tracer` records hierarchical *spans* for engine activities —
 one-shot executions (with plan/explore/project phases), continuous window
 closes, injection batches, fork-join per-node branches, chaos recovery
 intervals.  Span timestamps are **readings of the activity's
-LatencyMeter** (simulated nanoseconds since the activity began), anchored
+LatencyMeter** (exact integer simulated picoseconds since the activity
+began; ``t0``/``t1``/``ns`` are float nanosecond views), anchored
 at the engine clock's millisecond the activity started, so the whole
 trace is a pure function of the simulation: two runs of the same workload
 produce byte-identical traces.
 
 The zero-simulated-cost invariant: the tracer only *reads* meters
-(``meter.ns`` at span boundaries); it never charges them.  Enabling or
+(``meter.ps`` at span boundaries); it never charges them.  Enabling or
 disabling tracing therefore cannot move a single simulated nanosecond —
 guarded by ``tests/obs/test_trace_neutrality.py``, which replays the
 golden determinism workload with tracing on.
@@ -28,14 +29,14 @@ group re-derives the joined branch exactly as
 :meth:`~repro.sim.cost.LatencyMeter.join_parallel` does (first strict
 maximum) and marks it ``critical`` — the contract the critical-path
 reconstructor (``repro.obs.analysis``) verifies: ``post == pre +
-critical_branch.ns`` with bit-identical float equality.
+critical_branch.ps`` in exact integer picoseconds.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.sim.cost import LatencyMeter
+from repro.sim.cost import PS_PER_NS, LatencyMeter
 
 #: Span kinds (the ``kind`` field).
 ACTIVITY = "activity"
@@ -48,8 +49,9 @@ EVENT = "event"
 class Span:
     """One recorded span.
 
-    ``t0``/``t1`` are meter readings (simulated ns since the owning
-    activity's meter started); ``anchor_ms`` is the simulated clock
+    ``t0_ps``/``t1_ps`` are meter readings (exact integer simulated
+    picoseconds since the owning activity's meter started); ``t0``/``t1``
+    are their nanosecond views.  ``anchor_ms`` is the simulated clock
     millisecond the activity began, so the absolute simulated position is
     ``anchor_ms * 1e6 + t0``.  ``track`` identifies the meter the
     readings came from (each activity root and each parallel branch gets
@@ -57,10 +59,11 @@ class Span:
     """
 
     __slots__ = ("sid", "parent", "name", "cat", "kind", "track",
-                 "t0", "t1", "anchor_ms", "labels", "group", "critical")
+                 "t0_ps", "t1_ps", "anchor_ms", "labels", "group",
+                 "critical")
 
     def __init__(self, sid: int, parent: Optional[int], name: str,
-                 cat: str, kind: str, track: int, t0: float, t1: float,
+                 cat: str, kind: str, track: int, t0_ps: int, t1_ps: int,
                  anchor_ms: int, labels: Optional[Dict] = None,
                  group: Optional[int] = None, critical: bool = False):
         self.sid = sid
@@ -69,23 +72,40 @@ class Span:
         self.cat = cat
         self.kind = kind
         self.track = track
-        self.t0 = t0
-        self.t1 = t1
+        self.t0_ps = t0_ps
+        self.t1_ps = t1_ps
         self.anchor_ms = anchor_ms
         self.labels = labels if labels is not None else {}
         self.group = group
         self.critical = critical
 
+    # Nanosecond views (assigning ``t1`` rounds to the nearest ps).
+    @property
+    def t0(self) -> float:
+        return self.t0_ps / PS_PER_NS
+
+    @property
+    def t1(self) -> float:
+        return self.t1_ps / PS_PER_NS
+
+    @t1.setter
+    def t1(self, ns: float) -> None:
+        self.t1_ps = round(ns * PS_PER_NS)
+
+    @property
+    def ps(self) -> int:
+        return self.t1_ps - self.t0_ps
+
     @property
     def ns(self) -> float:
-        return self.t1 - self.t0
+        return self.ps / PS_PER_NS
 
     def as_dict(self) -> dict:
-        """JSON-safe form (sorted labels; exact float readings)."""
+        """JSON-safe form (sorted labels; exact integer readings)."""
         return {
             "sid": self.sid, "parent": self.parent, "name": self.name,
             "cat": self.cat, "kind": self.kind, "track": self.track,
-            "t0_ns": self.t0, "t1_ns": self.t1,
+            "t0_ps": self.t0_ps, "t1_ps": self.t1_ps,
             "anchor_ms": self.anchor_ms,
             "labels": dict(sorted(self.labels.items())),
             "group": self.group, "critical": self.critical,
@@ -105,9 +125,9 @@ class ParallelGroup:
         self.activity = activity
         self.gid = gid
         self.name = name
-        #: Owning meter's reading when the group opened.
-        self.pre = activity.meter.ns if activity.meter is not None else 0.0
-        self.post: Optional[float] = None
+        #: Owning meter's reading (ps) when the group opened.
+        self.pre = activity.meter.ps if activity.meter is not None else 0
+        self.post: Optional[int] = None
         self._branches: List[Span] = []
 
     def branch(self, name: str, branch_meter: LatencyMeter,
@@ -118,7 +138,8 @@ class ParallelGroup:
         span = Span(
             sid=tracer._next_sid(), parent=activity.root.sid, name=name,
             cat=activity.root.cat, kind=BRANCH, track=tracer._next_track(),
-            t0=0.0, t1=branch_meter.ns, anchor_ms=activity.root.anchor_ms,
+            t0_ps=0, t1_ps=branch_meter.ps,
+            anchor_ms=activity.root.anchor_ms,
             labels=labels, group=self.gid)
         self._branches.append(span)
         tracer.spans.append(span)
@@ -131,7 +152,7 @@ class ParallelGroup:
         activity's root track covering ``[pre, post)``.
         """
         activity = self.activity
-        self.post = activity.meter.ns if activity.meter is not None else 0.0
+        self.post = activity.meter.ps if activity.meter is not None else 0
         # The next phase mark starts after the join, not inside it.
         activity._last_mark = self.post
         if not self._branches:
@@ -139,7 +160,7 @@ class ParallelGroup:
             return
         slowest: Optional[Span] = None
         for span in self._branches:
-            if slowest is None or span.t1 > slowest.t1:
+            if slowest is None or span.t1_ps > slowest.t1_ps:
                 slowest = span
         if slowest is not None:
             slowest.critical = True
@@ -147,7 +168,7 @@ class ParallelGroup:
         tracer.spans.append(Span(
             sid=tracer._next_sid(), parent=activity.root.sid,
             name=self.name, cat=activity.root.cat, kind=JOIN,
-            track=activity.root.track, t0=self.pre, t1=self.post,
+            track=activity.root.track, t0_ps=self.pre, t1_ps=self.post,
             anchor_ms=activity.root.anchor_ms,
             labels={"branches": len(self._branches)}, group=self.gid))
 
@@ -162,18 +183,19 @@ class Activity:
         self.tracer = tracer
         self.meter = meter
         self.root = root
-        self._last_mark = root.t0
+        self._last_mark = root.t0_ps
         self._closed = False
 
     def mark(self, name: str, **labels) -> None:
         """Close one phase: a span from the previous mark to the meter's
         current reading, on the activity's root track."""
-        now = self.meter.ns if self.meter is not None else 0.0
+        now = self.meter.ps if self.meter is not None else 0
         tracer = self.tracer
         tracer.spans.append(Span(
             sid=tracer._next_sid(), parent=self.root.sid, name=name,
             cat=self.root.cat, kind=PHASE, track=self.root.track,
-            t0=self._last_mark, t1=now, anchor_ms=self.root.anchor_ms,
+            t0_ps=self._last_mark, t1_ps=now,
+            anchor_ms=self.root.anchor_ms,
             labels=labels))
         self._last_mark = now
 
@@ -193,7 +215,7 @@ class Activity:
         if self._closed:
             return
         self._closed = True
-        self.root.t1 = self.meter.ns if self.meter is not None else 0.0
+        self.root.t1_ps = self.meter.ps if self.meter is not None else 0
         self.root.labels.setdefault("meter_ns", self.root.t1)
         self.tracer._pop(self)
 
@@ -246,10 +268,11 @@ class Tracer:
         if anchor_ms is None:
             anchor_ms = self.clock.now_ms if self.clock is not None else 0
         parent = self._stack[-1].root.sid if self._stack else None
-        start = meter.ns if meter is not None else 0.0
+        start = meter.ps if meter is not None else 0
         root = Span(
             sid=self._next_sid(), parent=parent, name=name, cat=cat,
-            kind=ACTIVITY, track=self._next_track(), t0=start, t1=start,
+            kind=ACTIVITY, track=self._next_track(), t0_ps=start,
+            t1_ps=start,
             anchor_ms=anchor_ms, labels=labels)
         self.spans.append(root)
         activity = Activity(self, root, meter)
@@ -265,15 +288,16 @@ class Tracer:
         if self._stack and self._stack[-1] is activity:
             self._stack.pop()
 
-    def event_span(self, name: str, cat: str, ns: float,
+    def event_span(self, name: str, cat: str, ps: int,
                    anchor_ms: Optional[int] = None, **labels) -> Span:
-        """Record one already-completed interval (e.g. a chaos recovery
-        whose meter only exists after the fact)."""
+        """Record one already-completed interval of ``ps`` picoseconds
+        (e.g. a chaos recovery whose meter only exists after the fact)."""
         if anchor_ms is None:
             anchor_ms = self.clock.now_ms if self.clock is not None else 0
         span = Span(
             sid=self._next_sid(), parent=None, name=name, cat=cat,
-            kind=EVENT, track=self._next_track(), t0=0.0, t1=ns,
+            kind=EVENT, track=self._next_track(), t0_ps=0,
+            t1_ps=ps,
             anchor_ms=anchor_ms, labels=labels)
         self.spans.append(span)
         return span

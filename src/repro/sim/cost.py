@@ -15,17 +15,27 @@ for CSPARQL-engine and Spark Streaming.  The constants model, respectively:
 DRAM hash probes, cache-line scans, one-sided RDMA verbs (~2 us), kernel
 TCP/IP round trips (~60 us), per-tuple serialization in JVM streaming
 frameworks, and mini-batch scheduler overheads.
+
+Simulated time is integer picoseconds: every price is a whole number of
+ps and :class:`LatencyMeter` sums Python ints, so a total never depends on
+the order or grouping of its charges.  Charges scaled by a fraction
+(contention, straggler slowdown, half round trips) round once, by
+:func:`scale_ps`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, Optional
 
 
 @dataclass(frozen=True)
 class CostModel:
     """Prices (simulated nanoseconds) for primitive operations.
+
+    Every price must be a whole number of picoseconds (``0.02`` ns is
+    20 ps; ``0.0005`` ns is rejected with ValueError at construction):
+    meters keep integer ps, so simulated time is exact arithmetic.
 
     Storage primitives
     ------------------
@@ -126,17 +136,77 @@ class CostModel:
     sn_publish_ns: float = 500.0
     log_entry_ns: float = 180.0
 
+    def __post_init__(self) -> None:
+        # Rejects any price that is not a whole number of picoseconds, so
+        # every charge (and every sum of charges) is exact integer ps, and
+        # registers each price so LatencyMeter.charge converts it with one
+        # dict probe.
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            _PS_OF[value] = ns_to_ps(value)
+        for name in ("rdma_read", "rdma_byte", "tcp_rtt", "tcp_byte"):
+            object.__setattr__(self, f"_{name}_ps",
+                               ns_to_ps(getattr(self, f"{name}_ns")))
+
+    def rdma_read_ps(self, nbytes: int) -> int:
+        """Exact picoseconds of one one-sided RDMA read of ``nbytes``."""
+        return self._rdma_read_ps + self._rdma_byte_ps * max(0, nbytes)
+
+    def tcp_ps(self, nbytes: int) -> int:
+        """Exact picoseconds of one TCP round trip carrying ``nbytes``."""
+        return self._tcp_rtt_ps + self._tcp_byte_ps * max(0, nbytes)
+
+    def one_way_ps(self, nbytes: int) -> int:
+        """Half a TCP round trip carrying ``nbytes`` (see :func:`scale_ps`)."""
+        return scale_ps(self.tcp_ps(nbytes), 0.5)
+
     def rdma_read_cost(self, nbytes: int) -> float:
-        """Total cost of one one-sided RDMA read of ``nbytes``."""
-        return self.rdma_read_ns + self.rdma_byte_ns * max(0, nbytes)
+        """Total cost of one one-sided RDMA read of ``nbytes`` (ns view)."""
+        return self.rdma_read_ps(nbytes) / PS_PER_NS
 
     def tcp_cost(self, nbytes: int) -> float:
-        """Total cost of one TCP round trip carrying ``nbytes``."""
-        return self.tcp_rtt_ns + self.tcp_byte_ns * max(0, nbytes)
+        """Total cost of one TCP round trip carrying ``nbytes`` (ns view)."""
+        return self.tcp_ps(nbytes) / PS_PER_NS
+
+
+#: The meter's exact unit: simulated time is kept in integer picoseconds.
+PS_PER_NS = 1000
+
+#: Every CostModel price (ns) -> its exact ps, filled at construction.
+_PS_OF: Dict[float, int] = {}
+
+
+def ns_to_ps(ns: float) -> int:
+    """``ns`` as an exact whole number of picoseconds.
+
+    Raises ValueError for negative time and for any value that is not a
+    whole number of ps (the float nearest ``ps / 1000`` must be ``ns``).
+    """
+    if ns < 0:
+        raise ValueError(f"cannot charge negative time: {ns}")
+    ps = round(ns * PS_PER_NS)
+    if ps / PS_PER_NS != ns:
+        raise ValueError(f"{ns!r} ns is not a whole number of picoseconds")
+    return ps
+
+
+def scale_ps(ps: int, factor: float) -> int:
+    """The one rounding rule for scaled charges (contention, stragglers,
+    half round trips): ``ps * factor`` computed exactly from the integer
+    total and the factor's exact binary value, rounded to the nearest
+    picosecond with ties to even.  Never derived from a float view.
+    """
+    if factor < 0:
+        raise ValueError(f"cannot scale time by a negative factor: {factor}")
+    num, den = factor.as_integer_ratio()
+    quotient, rest = divmod(ps * num, den)
+    if 2 * rest > den or (2 * rest == den and quotient & 1):
+        quotient += 1
+    return quotient
 
 
 class LatencyMeter:
-    """Accumulates simulated nanoseconds, with optional category breakdown.
+    """Accumulates simulated time, with optional category breakdown.
 
     A meter models the critical path of one logical activity (a query, an
     injection, a checkpoint).  Sequential work is added with :meth:`charge`;
@@ -144,6 +214,9 @@ class LatencyMeter:
     spawning one child meter per branch and folding them back with
     :meth:`join_parallel`, which adds the *maximum* branch time (the
     critical path) to this meter.
+
+    The total and the per-category breakdown are exact Python ints of
+    picoseconds; ``ns``/``us``/``ms``/``breakdown_ms`` are float views.
 
     >>> m = LatencyMeter()
     >>> m.charge(500)
@@ -154,40 +227,38 @@ class LatencyMeter:
     3500.0
     """
 
-    __slots__ = ("_ns", "_breakdown")
+    __slots__ = ("_ps", "_breakdown")
 
     def __init__(self) -> None:
-        self._ns = 0.0
-        self._breakdown: Dict[str, float] = {}
+        self._ps = 0
+        self._breakdown: Dict[str, int] = {}
 
     # -- accumulation -------------------------------------------------
     def charge(self, ns: float, times: int = 1, category: Optional[str] = None) -> None:
         """Add ``ns * times`` to the meter, optionally tagged by category."""
-        if ns < 0:
-            raise ValueError(f"cannot charge negative time: {ns}")
+        ps = _PS_OF.get(ns)
+        if ps is None:
+            ps = ns_to_ps(ns)
         if times < 0:
             raise ValueError(f"cannot charge a negative number of times: {times}")
-        total = ns * times
-        self._ns += total
+        total = ps * times
+        self._ps += total
         if category is not None:
-            self._breakdown[category] = self._breakdown.get(category, 0.0) + total
+            self._breakdown[category] = self._breakdown.get(category, 0) + total
 
-    def charge_many(self, charges: Iterable) -> None:
-        """Apply many ``(ns, times, category)`` charges in one call.
-
-        Each triple is applied exactly as :meth:`charge` would: because all
-        hot-path cost constants are integer-valued, ``ns * times`` equals
-        ``times`` separate additions bit-for-bit, so converting a per-entry
-        charge loop to one aggregated call never moves simulated time.
-        """
-        for ns, times, category in charges:
-            self.charge(ns, times=times, category=category)
+    def charge_ps(self, ps: int, category: Optional[str] = None) -> None:
+        """Add an exact ``ps`` picoseconds (network prices, scaled charges)."""
+        if type(ps) is not int or ps < 0:
+            raise ValueError(f"charge must be a non-negative int of ps: {ps!r}")
+        self._ps += ps
+        if category is not None:
+            self._breakdown[category] = self._breakdown.get(category, 0) + ps
 
     def add(self, other: "LatencyMeter") -> None:
         """Fold another meter in sequentially (sum of times)."""
-        self._ns += other._ns
+        self._ps += other._ps
         for key, value in other._breakdown.items():
-            self._breakdown[key] = self._breakdown.get(key, 0.0) + value
+            self._breakdown[key] = self._breakdown.get(key, 0) + value
 
     def spawn(self) -> "LatencyMeter":
         """Create an empty child meter for one parallel branch."""
@@ -196,36 +267,43 @@ class LatencyMeter:
     def join_parallel(self, branches: Iterable["LatencyMeter"]) -> None:
         """Fold parallel branches in: elapsed time grows by the slowest branch.
 
-        The category breakdown of the *slowest* branch is merged, since the
-        breakdown documents the critical path.
+        The category breakdown of the *slowest* branch (the first one on
+        an exact tie) is merged, since the breakdown documents the
+        critical path.
         """
         slowest: Optional[LatencyMeter] = None
         for branch in branches:
-            if slowest is None or branch._ns > slowest._ns:
+            if slowest is None or branch._ps > slowest._ps:
                 slowest = branch
         if slowest is not None:
             self.add(slowest)
 
     # -- inspection ---------------------------------------------------
     @property
+    def ps(self) -> int:
+        """Elapsed simulated picoseconds (exact)."""
+        return self._ps
+
+    @property
     def ns(self) -> float:
         """Elapsed simulated nanoseconds."""
-        return self._ns
+        return self._ps / PS_PER_NS
 
     @property
     def us(self) -> float:
         """Elapsed simulated microseconds."""
-        return self._ns / 1e3
+        return self._ps / 1_000_000
 
     @property
     def ms(self) -> float:
         """Elapsed simulated milliseconds."""
-        return self._ns / 1e6
+        return self._ps / 1_000_000_000
 
     @property
     def breakdown_ms(self) -> Dict[str, float]:
         """Per-category elapsed milliseconds (categories passed to charge)."""
-        return {key: value / 1e6 for key, value in self._breakdown.items()}
+        return {key: value / 1_000_000_000
+                for key, value in self._breakdown.items()}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LatencyMeter(ms={self.ms:.4f})"
@@ -238,11 +316,10 @@ class ChargeSet:
     exposes the same ``charge(ns, times=1, category=None)`` shape), so it
     can be handed to store primitives in place of a meter inside a hot
     loop.  It merely counts occurrences per ``(ns, category)`` pair;
-    :meth:`flush` then issues one aggregated ``meter.charge`` per pair.
-    With integer-valued cost constants the flushed total is bit-identical
-    to charging each event individually (integer sums stay exact well
-    below 2**53), while the Python-level overhead drops from one meter
-    call per store entry to one per distinct price.
+    :meth:`flush` then issues one aggregated ``meter.charge`` per pair,
+    cutting the Python-level overhead from one meter call per store entry
+    to one per distinct price.  Meters sum exact integer picoseconds, so
+    when (and in which order) a set is flushed never changes the total.
     """
 
     __slots__ = ("_acc",)

@@ -180,12 +180,10 @@ class DistributedStore:
                        category: str = "store") -> Dict[int, List[int]]:
         """Batch-shaped neighbour lookup: one fetch per *distinct* vid.
 
-        Fetches run in first-occurrence order over ``vids`` — exactly the
-        order (and the charges) of the executor's per-expansion neighbour
-        cache issuing :meth:`neighbors_from` calls one by one, so even
-        order-sensitive fractional charges accumulate identically.  The
-        columnar batch kernels hand whole start columns here instead of
-        calling through the per-vid access indirection row by row.
+        Fetches run in first-occurrence order over ``vids`` and charge
+        exactly what :meth:`neighbors_from` charges per distinct vid.
+        The columnar batch kernels hand whole start columns here instead
+        of calling through the per-vid access indirection row by row.
         """
         fetched: Dict[int, List[int]] = {}
         fetch = self.neighbors_from
@@ -228,19 +226,12 @@ class DistributedStore:
                                  ) -> Dict[int, Tuple[List[int], List[int]]]:
         """Batch version-carrying lookup: one probe per *distinct* vid.
 
-        The columnar temporal kernels hand whole start columns here.
-        Probes run in first-occurrence order over ``vids`` — exactly the
-        order of the row evaluator's per-step probe cache issuing
-        :meth:`neighbors_versions_from` calls one by one — so the
-        order-sensitive fractional remote-read charges accumulate
-        identically.  The integer hash-probe and scan charges accumulate
-        through a per-shard :class:`ChargeSet`, flushed *before every
-        fractional remote read* (and once at the end): integer partial
-        sums are exact in any grouping, but only between two fractional
-        charges — each fractional charge must land on the same running
-        total as in the per-probe loop, or its rounding can differ in
-        the last bit (the ``charges_commute`` discipline; same
-        flush-before-float rule as ``WindowAccess.neighbors_many``).
+        The columnar temporal kernels hand whole start columns here; the
+        probes and their charges are exactly those of calling
+        :meth:`neighbors_versions_from` once per distinct vid.  The
+        hash-probe and scan charges aggregate through one
+        :class:`ChargeSet`, flushed once at the end (meters sum exact
+        integer picoseconds, so the grouping never moves the total).
         """
         fetched: Dict[int, Tuple[List[int], List[int]]] = {}
         charges = ChargeSet()
@@ -253,7 +244,6 @@ class DistributedStore:
             key = (vid << _VID_SHIFT) | (eid << _EID_SHIFT) | d
             shard = self.shards[owner]
             if owner != home_node:
-                charges.flush(meter)
                 remote_read(meter, _KEY_BYTES, category="network")
                 remote_read(meter, shard.value_bytes(key),
                             category="network")

@@ -34,9 +34,9 @@ unbound) instead of per-row dicts.  Step patterns, the FILTER schedule and
 UNION/OPTIONAL sub-plans are resolved to slots at compile time and cached
 on the plan.  This only changes wall-clock speed: lookup and binding
 charges are issued for exactly the same events as the dict-row
-implementation (aggregated per expansion with integer-valued constants,
-so the simulated totals are bit-identical — see DESIGN.md, "Wall-clock vs
-simulated time").
+implementation (aggregated per expansion; meters sum exact integer
+picoseconds, so the simulated totals are identical — see DESIGN.md,
+"Wall-clock vs simulated time").
 
 Columnar batch exploration: every plain step sequence — in-place,
 fork-join and migrate alike, with or without a FILTER schedule — keeps
@@ -47,12 +47,12 @@ selections), the per-batch key probes are deduplicated exactly as the
 row path's per-expansion neighbour cache did, and projection zips the
 projected columns straight into result tuples.  BigSR (arXiv:1804.04367)
 motivates the layout: batch/columnar evaluation amortizes per-row
-interpreter overhead for large binding sets.  The charge discipline is
+interpreter overhead for large binding sets.  The charged events are
 unchanged — neighbour fetches are issued once per distinct start vertex
-in first-occurrence row order (so even fractional-valued remote-read
-charges accumulate in the same order) and binding charges aggregate with
-integer-valued constants, keeping simulated time bit-identical to the
-row-at-a-time path (guarded by ``tests/core/test_determinism.py``).
+in first-occurrence row order and binding charges aggregate per
+expansion.  Simulated time is integer picoseconds, so the order and
+grouping of charges never matter and the total equals the
+row-at-a-time path's (guarded by ``tests/core/test_determinism.py``).
 
 The distributed modes ship whole column batches between nodes: routing
 is a columnar partition-by-owner (``_Batch.select`` over first-occurrence
@@ -62,7 +62,7 @@ bulk-message charge per hop is the row path's largest-single-transfer
 formula verbatim.  Step-scheduled FILTERs evaluate as vectorized selects
 over slot columns, memoizing the (charge-free) predicate evaluation per
 distinct operand value; the per-row ``filter_ns`` charges aggregate into
-one integer-valued call.  ``use_batch=False`` keeps the row-at-a-time
+one call.  ``use_batch=False`` keeps the row-at-a-time
 kernels — the differential tests and the wall-clock bench run both paths
 and require identical results, charges and (for the bench) a speedup.
 """
@@ -637,7 +637,7 @@ class GraphExplorer:
 
         The row path charges ``filter_ns`` per row per filter *before*
         evaluating that row (regardless of the verdict), so the whole
-        block aggregates into one integer-valued charge; evaluation
+        block aggregates into one charge; evaluation
         itself is charge-free and memoized per distinct operand value.
         """
         if not cfilters or not batch.nrows:
@@ -1018,8 +1018,7 @@ class GraphExplorer:
 
         Neighbour lists are fetched once per distinct start vertex in
         first-occurrence row order — exactly the row path's per-expansion
-        cache — so even order-sensitive (fractional) remote-read charges
-        accumulate identically.
+        cache, and the same charges.
         """
         nslots = len(batch.cols)
         starts = batch.cols[bound_slot]
@@ -1123,10 +1122,13 @@ class GraphExplorer:
         seed row, subject variable unbound); anything else round-trips
         through the row kernel.
 
-        The interleaved per-subject charge order (neighbour fetch, then
-        that subject's binding charge) is preserved verbatim.  With
-        ``index_owner``, only start vertices owned by that node are
-        enumerated (fork-join/migrate branches partition the start set).
+        Every subject's neighbour list is fetched in one ``neighbors_many``
+        call, and the binding charges aggregate into one call; an access
+        without ``neighbors_many`` is fetched per subject.  The index
+        vertices are distinct, so the fetches and charges equal the row
+        kernel's.  With ``index_owner``, only start vertices owned by
+        that node are enumerated (fork-join/migrate branches partition
+        the start set).
         """
         subj_slot = cstep.subj_slot
         obj_slot = cstep.obj_slot
@@ -1149,58 +1151,38 @@ class GraphExplorer:
                             if self.cluster.owner_of(vid) == index_owner]
         else:
             subjects = access.index_vertices(eid, DIR_OUT, meter)
-        required = access.resolve_entity(cstep.object) \
-            if obj_slot is None else None
-        binding_ns = self.cost.binding_ns
-        charge = meter.charge
+        neighbors_many = getattr(access, "neighbors_many", None)
+        if neighbors_many is not None:
+            fetched = neighbors_many(subjects, eid, DIR_OUT, meter)
+        else:
+            neighbors_of = access.neighbors
+            fetched = {svid: neighbors_of(svid, eid, DIR_OUT, meter)
+                       for svid in subjects}
         # Distinct subjects each contribute rows no other subject can
         # (the subject lands in a column), so the output is distinct iff
         # the subject list and every fetched list are duplicate-free.
         distinct = batch.distinct and len(set(subjects)) == len(subjects)
         subj_col: List[int] = []
         obj_col: List[int] = []
-        # When every charge the access can emit is an integer (see
-        # ``charges_commute``), fetch-vs-binding charge order is
-        # irrelevant — integer sums are exact — so all neighbour lists
-        # can be fetched in one aggregated call up front.  Otherwise the
-        # interleaved per-subject order is preserved verbatim.
-        fetched = None
-        if getattr(access, "charges_commute", False):
-            neighbors_many = getattr(access, "neighbors_many", None)
-            if neighbors_many is not None:
-                fetched = neighbors_many(subjects, eid, DIR_OUT, meter)
         if obj_slot is None or obj_slot == subj_slot:
             # Object is a constant (or the subject variable itself):
             # each subject survives iff the object matches its list.
-            if fetched is not None:
-                if obj_slot == subj_slot:
-                    subj_col = [svid for svid in subjects
-                                if svid in fetched[svid]]
-                elif required is not None:
+            if obj_slot == subj_slot:
+                subj_col = [svid for svid in subjects
+                            if svid in fetched[svid]]
+            else:
+                required = access.resolve_entity(cstep.object)
+                if required is not None:
                     subj_col = [svid for svid in subjects
                                 if required in fetched[svid]]
-                if subj_col:
-                    charge(binding_ns, times=len(subj_col),
-                           category="explore")
-            else:
-                append_subj = subj_col.append
-                fetch = access.neighbors
-                for svid in subjects:
-                    neighbors = fetch(svid, eid, DIR_OUT, meter)
-                    wanted = svid if obj_slot == subj_slot else required
-                    if wanted is not None and wanted in neighbors:
-                        append_subj(svid)
-                        charge(binding_ns, category="explore")
             obj_col = subj_col
-        elif fetched is not None:
+        else:
             lists = list(map(fetched.__getitem__, subjects))
             counts = list(map(len, lists))
-            total = sum(counts)
-            if total:
+            if sum(counts):
                 subj_col = list(chain.from_iterable(
                     map(repeat, subjects, counts)))
                 obj_col = list(chain.from_iterable(lists))
-                charge(binding_ns, times=total, category="explore")
                 if distinct:
                     hook = getattr(access, "distinct_neighbors", None)
                     verdict = hook(fetched, eid, DIR_OUT) \
@@ -1209,22 +1191,10 @@ class GraphExplorer:
                         verdict = all(len(set(lst)) == len(lst)
                                       for lst in lists)
                     distinct = verdict
-        else:
-            extend_subj = subj_col.extend
-            extend_obj = obj_col.extend
-            fetch = access.neighbors
-            for svid in subjects:
-                neighbors = fetch(svid, eid, DIR_OUT, meter)
-                k = len(neighbors)
-                if k:
-                    extend_subj([svid] * k)
-                    extend_obj(neighbors)
-                    charge(binding_ns, times=k, category="explore")
-                    if distinct and len(set(neighbors)) != k:
-                        distinct = False
         nrows = len(subj_col)
         if not nrows:
             return _Batch.empty(nslots)
+        meter.charge(self.cost.binding_ns, times=nrows, category="explore")
         out_cols: List[Optional[List[int]]] = []
         for index, column in enumerate(batch.cols):
             if index == subj_slot:

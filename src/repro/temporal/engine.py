@@ -42,7 +42,7 @@ from repro.core.coordinator import Coordinator
 from repro.core.oneshot import OneShotEngine, OneShotRecord
 from repro.errors import UnsupportedOperationError
 from repro.sim.cluster import Cluster
-from repro.sim.cost import LatencyMeter
+from repro.sim.cost import LatencyMeter, scale_ps
 from repro.sparql.ast import Query
 from repro.sparql.planner import plan_order, plan_steps
 from repro.store.distributed import DistributedStore, PersistentAccess
@@ -285,8 +285,9 @@ class TemporalEngine:
                 query, plan.steps, self.store, home_node, snapshot, meter,
                 counters=counters)
         if contended and self.oneshot.contention_factor > 0:
-            meter.charge(meter.ns * self.oneshot.contention_factor,
-                         category="contention")
+            meter.charge_ps(scale_ps(meter.ps,
+                                     self.oneshot.contention_factor),
+                            "contention")
         if act is not None:
             act.label(rows=len(rows),
                       snapshot_reads=counters.snapshot_reads,

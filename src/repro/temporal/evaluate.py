@@ -8,9 +8,8 @@ originally ran *only* here, on this row-based evaluator over
 threading SN columns through a hot batch path before the charge
 discipline for doing so was proven.  That caveat is now resolved:
 :mod:`repro.temporal.kernels` carries the ``?ts`` column through
-batched, version-carrying store reads under the same
-``charges_commute`` rules as every other kernel, and the temporal
-engine runs it by default.  This evaluator stays as the differential
+batched, version-carrying store reads, and the temporal engine runs
+it by default.  This evaluator stays as the differential
 control (``use_batch=False``; ``row_path`` in the bench harness) — the
 batch path must stay bit-identical to it in rows, simulated charges,
 and state digest.

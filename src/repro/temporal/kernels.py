@@ -7,11 +7,10 @@ is the batch twin — the same exploration expressed over parallel column
 lists, with the SN (``?ts``) column threaded through every expansion
 instead of being re-derived per row:
 
-* store reads go through the batch version-carrying entry points
-  (:meth:`ShardStore.lookup_versions_many` /
-  :meth:`DistributedStore.neighbors_versions_batch`) — one probe per
-  *distinct* start vertex in first-occurrence row order, integer
-  charges aggregated through a :class:`~repro.sim.cost.ChargeSet`;
+* store reads go through the batch version-carrying entry point
+  :meth:`DistributedStore.neighbors_versions_batch` — one probe per
+  *distinct* start vertex in first-occurrence row order, charges
+  aggregated through a :class:`~repro.sim.cost.ChargeSet`;
 * FILTER application is compiled once per plan into a static schedule
   (:class:`CompiledIntervalPlan`): each ordinary and interval FILTER is
   pinned to the first step at which its variables are bound, and the
@@ -22,28 +21,14 @@ instead of being re-derived per row:
 * binding production charges ``binding_ns`` once per extend with
   ``times=<rows produced>`` instead of once per row.
 
-Bit-identity discipline (the bar every kernel PR clears): produced
-rows, their order, the meter total, the per-category breakdown, and the
-state digest must equal the row evaluator's exactly.  The load-bearing
-rules, all inherited from the PR 6 ``charges_commute`` analysis:
-
-* integer-valued charges (``hash_probe_ns``, ``scan_entry_ns``,
-  ``binding_ns``, ``filter_ns``) sum exactly in any grouping *between
-  two fractional charges*, so they may be aggregated freely within
-  such a gap;
-* fractional charges (``rdma_byte_ns`` remote reads) must land on the
-  same running meter total as in the row path, or their float rounding
-  can differ in the last bit — so probes issue in first-occurrence row
-  order, and on multi-node clusters (where probes can be remote) the
-  bound-start and index-start expansions preserve the row evaluator's
-  probe-vs-binding interleave: each probe's captured charges replay at
-  its row position, with the binding charges of earlier rows emitted
-  first (single-node clusters are fractional-free and keep the fully
-  aggregated fast path — the same gate as the one-shot executor's
-  ``charges_commute``);
-* an aggregated charge with ``times=0`` still creates its breakdown
-  category at ``0.0``, which the row path would not — every aggregate
-  charge here is guarded by a positive count.
+Equivalence bar: produced rows, their order, the meter total, the
+per-category breakdown, and the state digest must equal the row
+evaluator's exactly.  Simulated time is integer picoseconds, so the
+kernels charge the row path's events in any order or grouping, with
+one code path whatever the cluster size.  One rule remains: an
+aggregated charge with ``times=0`` still creates its breakdown category,
+which the row path would not — every aggregate charge here is guarded
+by a positive count.
 
 Row-order contract: each expansion produces rows in the row evaluator's
 nested-loop order — anchor probes are shared (row-major, entry-minor),
@@ -69,31 +54,6 @@ from repro.temporal.evaluate import (IntervalCounters, _plain_filter_matches,
 #: Column store: graph variables map to vid columns, interval endpoint
 #: variables map to snapshot-number columns; all columns share length.
 Columns = Dict[str, List[int]]
-
-
-class _ChargeScript:
-    """Captures one probe's meter charges for ordered replay.
-
-    On multi-node clusters a probe can price fractional remote reads,
-    which must land on the same running meter total as in the row
-    evaluator — after the binding charges of every earlier row.  The
-    expansions below fetch through this shim first (the data is needed
-    to compute binding counts at all), then replay each probe's exact
-    charge sequence at its row position.
-    """
-
-    __slots__ = ("calls",)
-
-    def __init__(self) -> None:
-        self.calls: List[Tuple[float, int, Optional[str]]] = []
-
-    def charge(self, ns: float, times: int = 1,
-               category: Optional[str] = None) -> None:
-        self.calls.append((ns, times, category))
-
-    def replay(self, meter: LatencyMeter) -> None:
-        for ns, times, category in self.calls:
-            meter.charge(ns, times=times, category=category)
 
 
 class _CompiledPlainFilter:
@@ -362,61 +322,15 @@ def _extend_bound(cols: Columns, nrows: int, start_term: str,
     """Extend the batch through a bound-start expansion step.
 
     One batched probe per distinct start vertex in first-occurrence
-    row order — the same probes, in the same order, as the row
-    evaluator's per-step probe cache.  On a single-node cluster every
-    probe charge is an integer and the whole batch charges aggregated;
-    on multi-node clusters the probes capture their (possibly
-    fractional) charges for replay interleaved with the binding
-    charges, preserving the row path's charge sequence bit-for-bit.
+    row order — the same probes as the row evaluator's per-step probe
+    cache — and one aggregated binding charge.
     """
     starts = cols[start_term]
-    if len(store.cluster.nodes) > 1:
-        fetched = {}
-        scripts: Optional[Dict[int, _ChargeScript]] = {}
-        for start in starts:
-            if start in fetched:
-                continue
-            shim = _ChargeScript()
-            pair = store.neighbors_versions_from(
-                home_node, start, eid, direction, shim, max_sn=snapshot,
-                category="store")
-            fetched[start] = pair
-            scripts[start] = shim
-            counters.record(len(pair[0]))
-    else:
-        scripts = None
-        fetched = store.neighbors_versions_batch(
-            home_node, starts, eid, direction, meter, max_sn=snapshot,
-            category="store")
-        for vlist, _ in fetched.values():
-            counters.record(len(vlist))
-
-    def charge_bindings(counts: Optional[List[int]], total: int) -> None:
-        """Emit binding charges (and, multi-node, the probe replays).
-
-        Replays each captured probe at its first-occurrence row, with
-        the binding charges of earlier rows flushed first — the row
-        evaluator's exact interleave.  ``counts`` is None when no row
-        produces bindings (unresolvable constant other-vertex).
-        """
-        if scripts is None:
-            if total:
-                meter.charge(binding_ns, times=total, category="explore")
-            return
-        pending = 0
-        remaining = dict(scripts)
-        for i in range(nrows):
-            shim = remaining.pop(starts[i], None)
-            if shim is not None:
-                if pending:
-                    meter.charge(binding_ns, times=pending,
-                                 category="explore")
-                    pending = 0
-                shim.replay(meter)
-            if counts is not None:
-                pending += counts[i]
-        if pending:
-            meter.charge(binding_ns, times=pending, category="explore")
+    fetched = store.neighbors_versions_batch(
+        home_node, starts, eid, direction, meter, max_sn=snapshot,
+        category="store")
+    for vlist, _ in fetched.values():
+        counters.record(len(vlist))
 
     if is_variable(other_term):
         const_other = None
@@ -427,7 +341,6 @@ def _extend_bound(cols: Columns, nrows: int, start_term: str,
         # unknown, so the probe charges land either way.
         const_other = resolve(other_term)
         if const_other is None:
-            charge_bindings(None, 0)
             return {}, 0
         other_col = None
     ts_col = cols.get(ts_var) if ts_var is not None else None
@@ -456,9 +369,9 @@ def _extend_bound(cols: Columns, nrows: int, start_term: str,
             else:
                 counts.append(len(prepared[starts[i]][0]))
         total = sum(counts)
-        charge_bindings(counts, total)
         if total == 0:
             return {}, 0
+        meter.charge(binding_ns, times=total, category="explore")
         for var, col in cols.items():
             out[var] = list(chain.from_iterable(map(repeat, col, counts)))
         targets: Columns = {}
@@ -508,9 +421,9 @@ def _extend_bound(cols: Columns, nrows: int, start_term: str,
         pos_lists.append(index_for(starts[i]).get(key, empty))
     counts = [len(p) for p in pos_lists]
     total = sum(counts)
-    charge_bindings(counts, total)
     if total == 0:
         return {}, 0
+    meter.charge(binding_ns, times=total, category="explore")
     for var, col in cols.items():
         out[var] = list(chain.from_iterable(map(repeat, col, counts)))
     targets = {}
@@ -535,35 +448,17 @@ def _extend_index(cols: Columns, nrows: int, pattern, eid: int, store,
     Index vertices are deduplicated per shard and each vertex is owned
     by exactly one shard, so the gathered subjects are globally unique
     — the batch probe's distinct-vid dedup therefore issues exactly the
-    row path's one probe per subject.  Parts concatenate subject-major
-    (then row, then entry), matching the row evaluator's loop nesting.
-
-    On a single-node cluster every probe charge is an integer, so all
-    subjects fetch in one aggregated call up front.  On multi-node
-    clusters a probe can price fractional remote reads, which must stay
-    interleaved with the binding charges exactly as in the row path —
-    each subject probes just in time, followed by that subject's
-    binding charge (the one-shot executor's ``charges_commute`` gate).
+    row path's one probe per subject.  All subjects probe in one batch
+    call up front.  Parts concatenate subject-major (then row, then
+    entry), matching the row evaluator's loop nesting.
     """
     subjects = store.gather_index(home_node, eid, DIR_OUT, meter,
                                   category="store")
-    if len(store.cluster.nodes) > 1:
-        fetched = None
-    else:
-        fetched = store.neighbors_versions_batch(
-            home_node, subjects, eid, DIR_OUT, meter, max_sn=snapshot,
-            category="store")
-        for vlist, _ in fetched.values():
-            counters.record(len(vlist))
-
-    def probe(svid: int) -> Tuple[List[int], List[int]]:
-        if fetched is not None:
-            return fetched[svid]
-        pair = store.neighbors_versions_from(
-            home_node, svid, eid, DIR_OUT, meter, max_sn=snapshot,
-            category="store")
-        counters.record(len(pair[0]))
-        return pair
+    fetched = store.neighbors_versions_batch(
+        home_node, subjects, eid, DIR_OUT, meter, max_sn=snapshot,
+        category="store")
+    for vlist, _ in fetched.values():
+        counters.record(len(vlist))
 
     if nrows == 1 and not cols:
         # First-step fast path: the batch is the single empty row, so
@@ -574,17 +469,12 @@ def _extend_index(cols: Columns, nrows: int, pattern, eid: int, store,
         else:
             const_other = resolve(pattern.object)
             if const_other is None:
-                if fetched is None:
-                    # The row path probes every subject before extend()
-                    # discovers the constant is unknown.
-                    for svid in subjects:
-                        probe(svid)
                 return {}, 0
         subj_col: List[int] = []
         obj_col: List[int] = []
         ts_col: List[int] = []
         for svid in subjects:
-            vids, sns = probe(svid)
+            vids, sns = fetched[svid]
             if const_other is not None:
                 keep = [k for k, v in enumerate(vids) if v == const_other]
                 vids = [vids[k] for k in keep]
@@ -592,8 +482,6 @@ def _extend_index(cols: Columns, nrows: int, pattern, eid: int, store,
             n = len(vids)
             if not n:
                 continue
-            if fetched is None:
-                meter.charge(binding_ns, times=n, category="explore")
             subj_col.extend(repeat(svid, n))
             obj_col.extend(vids)
             ts_col.extend(sns)
@@ -609,14 +497,13 @@ def _extend_index(cols: Columns, nrows: int, pattern, eid: int, store,
             targets[pattern.ts] = ts_col
         if pattern.te is not None:
             targets[pattern.te] = [OPEN_END] * total
-        if fetched is not None:
-            meter.charge(binding_ns, times=total, category="explore")
+        meter.charge(binding_ns, times=total, category="explore")
         return targets, total
 
     parts: List[Columns] = []
     total = 0
     for svid in subjects:
-        vids, sns = probe(svid)
+        vids, sns = fetched[svid]
         part, part_n = _extend_shared(
             cols, nrows, pattern.subject, svid, pattern.object,
             pattern.ts, pattern.te, vids, sns, resolve, meter, binding_ns)

@@ -51,6 +51,27 @@ class TestCheckpoints:
         assert all(b.batch_no > marker.stable_vts["Tweet_Stream"]
                    for b in source.replay(marker.stable_vts["Tweet_Stream"]))
 
+    def test_checkpoint_pause_charged_in_exact_picoseconds(self):
+        # 181 entries on 2 nodes: 91 per node * 180 ns = 16 380 000 ps, a
+        # pause whose float ms view does not convert back to whole ps.
+        engine = ft_engine()
+        handle = engine.register_continuous(QC)
+        manager = engine.checkpoints
+        checkpoint = manager.checkpoint
+
+        def checkpoint_181(*args):
+            manager._entries_since_checkpoint = 181
+            return checkpoint(*args)
+
+        manager.checkpoint = checkpoint_181
+        engine.run_until(4_000)
+        assert manager.num_checkpoints >= 1
+        assert manager.last_checkpoint_pause_ps == 16_380_000
+        paused = [record.meter._breakdown["checkpoint"]
+                  for record in handle.executions
+                  if "checkpoint" in record.meter._breakdown]
+        assert paused and set(paused) == {16_380_000}
+
     def test_interval_must_be_positive(self):
         with pytest.raises(FaultToleranceError):
             CheckpointManager(interval_ms=0)

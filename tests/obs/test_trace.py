@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs.trace import ACTIVITY, BRANCH, EVENT, JOIN, PHASE, Tracer
-from repro.sim.cost import LatencyMeter
+from repro.sim.cost import CostModel, LatencyMeter
 
 
 def test_activity_records_meter_readings():
@@ -98,7 +98,7 @@ def test_nested_activities_form_a_tree():
 
 def test_event_span_records_completed_interval():
     tracer = Tracer()
-    span = tracer.event_span("recover", "chaos", ns=12_345.0,
+    span = tracer.event_span("recover", "chaos", ps=12_345_000,
                              anchor_ms=4_200, node_id=1)
     assert span.kind == EVENT
     assert span.ns == 12_345.0
@@ -109,3 +109,20 @@ def test_event_span_records_completed_interval():
 def test_invalid_sample_every_rejected():
     with pytest.raises(ValueError):
         Tracer(sample_every=0)
+
+
+def test_export_readings_are_integer_picoseconds():
+    from repro.obs.export import chrome_trace, validate_chrome_trace
+    tracer = Tracer()
+    meter = LatencyMeter()
+    act = tracer.begin("oneshot", "query", meter, anchor_ms=0)
+    meter.charge(CostModel().rdma_read_cost(3))
+    act.end()
+    document = chrome_trace(tracer)
+    args = document["traceEvents"][0]["args"]
+    assert (args["t0_ps"], args["t1_ps"]) == (0, 1_800_060)
+    assert validate_chrome_trace(document) == []
+    args["t1_ps"] = 1800.06  # a float ns reading is rejected
+    assert validate_chrome_trace(document)
+    args["t1_ps"] = -1
+    assert validate_chrome_trace(document)
