@@ -1,14 +1,17 @@
 #!/usr/bin/env python
 """Regenerate (or verify) every golden file in the test suite.
 
-Two goldens exist today:
+Three goldens exist today:
 
 * ``tests/core/golden_determinism.json`` — simulated latencies and cost
   breakdowns of the determinism workload (exact float equality);
 * ``tests/chaos/golden_chaos.json`` — the chaos chronicle, gap ledger and
-  result/state fingerprints of the hand-written multi-fault plan.
+  result/state fingerprints of the hand-written multi-fault plan;
+* ``tests/core/pinned_charges.json`` — rows, picosecond totals and
+  breakdowns (and interval traversal counters) of the explorer and
+  interval-kernel cases in ``tests/core/pinned_charges.py``.
 
-``--check`` recomputes both without writing and exits 1 on any drift —
+``--check`` recomputes all of them without writing and exits 1 on any drift —
 run_checks.sh uses it to catch semantics changes that were not
 accompanied by a deliberate golden regeneration.
 """
@@ -27,11 +30,13 @@ def _goldens():
     from chaos.chaos_workload import (GOLDEN_CHAOS_PATH, TICKS,
                                       build_engine, golden_plan)
     from core.determinism_workload import GOLDEN_PATH, run_workload
+    from core.pinned_charges import PINNED_PATH, compute_pinned
     from repro.chaos import chaos_run_facts
 
     yield ("determinism", GOLDEN_PATH, run_workload)
     yield ("chaos", GOLDEN_CHAOS_PATH,
            lambda: chaos_run_facts(build_engine, golden_plan(), TICKS))
+    yield ("pinned charges", PINNED_PATH, compute_pinned)
 
 
 def main() -> int:
