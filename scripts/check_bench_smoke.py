@@ -9,8 +9,8 @@ The floor is deliberately loose: the quick run uses a shorter workload
 and a different (quick-mode) seed baseline than the committed full run,
 and on shared CI machines back-to-back quick runs were observed to swing
 a scenario's speedup by 30-40% on load noise alone.  What the smoke must
-catch is a *fast path falling off* — the batch kernels silently disabled,
-a cache no longer hit — which shows up as a 2-10x collapse, far below
+catch is a *fast path falling off* — a cache no longer hit, plan
+sharing silently disabled — which shows up as a 2-10x collapse, far below
 any noise floor.  0.6x separates those two regimes cleanly; chasing
 single-digit-percent regressions is the full bench's job, not CI's.
 
@@ -48,17 +48,8 @@ THRESHOLD = 0.6
 #: shorter workload leaves fewer post-swap closes to win back (~2x
 #: typical, with noisy runs to ~1.6x), so its floor is 0.5x committed
 #: (~1.3x) — still clearly above the regressed ~1.0x regime.
-#: The temporal scenario's speedup is the same-run batch-vs-row ratio
-#: on the deep-history interval workload; both sides see the same
-#: machine noise.  Quick mode's shorter run leaves shallower version
-#: chains, which systematically trims the ratio ~20-30% below the
-#: committed full-mode figure (a ~5x full run smokes at ~4x), so the
-#: floor is 0.6x.  The failure it must catch is the columnar interval
-#: kernels silently disabled (``use_batch`` stuck off, the batch store
-#: reads unused) — which collapses the ratio to ~1x, far below 0.6x of
-#: the committed multi-x figure.
 SCENARIO_THRESHOLDS = {"continuous": 0.7, "serving": 0.6,
-                       "adaptive": 0.5, "temporal": 0.6}
+                       "adaptive": 0.5}
 
 
 def main(argv=None) -> int:

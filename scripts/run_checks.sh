@@ -8,9 +8,10 @@
 # `adaptive`) and the temporal suite (SPARQL-T snapshot/interval
 # differentials; marked `temporal`) are the slowest blocks and run as
 # their own stages,
-# followed by the columnar differential suite (batch vs row window
-# closes must be bit-identical, including under a kill-during-close
-# fault plan; DESIGN.md §4.9) and a drift check of the golden files
+# followed by the columnar-view and pinned-charge suite (incremental
+# window deltas equal fresh builds; the explorer and interval kernels
+# reproduce the rows and picosecond charges pinned in
+# tests/core/pinned_charges.json) and a drift check of the golden files
 # (scripts/regen_goldens.py --check).  A test marked both serving and
 # chaos runs in the chaos stage only.
 #
@@ -43,13 +44,13 @@ PYTHONPATH=src python -m pytest -x -q -m chaos
 echo "== adaptive re-planning suite (swap differentials + hysteresis) =="
 PYTHONPATH=src python -m pytest -x -q -m adaptive
 
-echo "== temporal suite (SPARQL-T snapshot + interval differentials, batch-vs-row kernels) =="
+echo "== temporal suite (SPARQL-T snapshot + interval differentials vs the oracle) =="
 PYTHONPATH=src python -m pytest -x -q -m temporal
 
-echo "== columnar differential (batch vs row window closes) =="
+echo "== columnar views + pinned charges (window deltas, explorer/interval charges) =="
 PYTHONPATH=src python -m pytest -x -q \
     tests/core/test_columnar_slice.py \
-    tests/chaos/test_columnar_differential.py
+    tests/core/test_pinned_charges.py
 
 echo "== golden drift check =="
 python scripts/regen_goldens.py --check

@@ -227,10 +227,9 @@ class CacheStats:
     adjacency_misses: int
     adjacency_evictions: int
     adjacency_entries: int
-    #: Executions served by the columnar batch kernels vs the row kernels
-    #: (summed across the continuous and one-shot explorers) — verifies
-    #: which path plans actually took, e.g. that FILTER-bearing one-shots
-    #: stay on the batch path now that filters compile to column ops.
+    #: Executions that ran a step phase, summed across the continuous and
+    #: one-shot explorers.  ``row_executions`` is always 0 (the explorer
+    #: has one columnar path); the field stays for report readers.
     batch_executions: int = 0
     row_executions: int = 0
     #: Columnar window-view counters (continuous fast path): column
@@ -247,7 +246,7 @@ class CacheStats:
     #: Temporal engine counters: compiled interval-plan cache (LRU,
     #: keyed AST + ordering + snapshot, so snapshot sweeps churn it —
     #: evictions are the signal the bound is working) and interval
-    #: executions by kernel (columnar batch vs the row-path control).
+    #: executions (``temporal_row_executions`` is always 0, as above).
     temporal_plan_hits: int = 0
     temporal_plan_misses: int = 0
     temporal_plan_evictions: int = 0
@@ -260,28 +259,12 @@ class CacheStats:
         return hits / total if total else 0.0
 
     @property
-    def plan_hit_rate(self) -> float:
-        return self._rate(self.plan_hits, self.plan_misses)
-
-    @property
-    def parse_hit_rate(self) -> float:
-        return self._rate(self.parse_hits, self.parse_misses)
-
-    @property
     def adjacency_hit_rate(self) -> float:
         return self._rate(self.adjacency_hits, self.adjacency_misses)
 
     @property
     def window_hit_rate(self) -> float:
         return self._rate(self.window_hits, self.window_misses)
-
-    @property
-    def window_delta_rate(self) -> float:
-        return self._rate(self.window_delta_hits, self.window_delta_misses)
-
-    @property
-    def temporal_plan_hit_rate(self) -> float:
-        return self._rate(self.temporal_plan_hits, self.temporal_plan_misses)
 
 
 @dataclass
@@ -330,11 +313,9 @@ class EngineStats:
                 f"({caches.adjacency_entries:,} entries, "
                 f"{caches.adjacency_evictions:,} evictions)")
             lines.append(
-                f"executor: {caches.batch_executions:,} batch / "
-                f"{caches.row_executions:,} row executions")
+                f"executor: {caches.batch_executions:,} batch executions")
             lines.append(
-                f"temporal: {caches.temporal_batch_executions:,} batch / "
-                f"{caches.temporal_row_executions:,} row interval "
+                f"temporal: {caches.temporal_batch_executions:,} interval "
                 f"executions, plans {caches.temporal_plan_hits}/"
                 f"{caches.temporal_plan_hits + caches.temporal_plan_misses} "
                 f"hits ({caches.temporal_plan_evictions:,} evictions)")
@@ -405,8 +386,6 @@ def collect_stats(engine: WukongSEngine) -> EngineStats:
                               for s in engine.store.shards),
         batch_executions=(engine.continuous.explorer.batch_executions
                           + engine.oneshot_engine.explorer.batch_executions),
-        row_executions=(engine.continuous.explorer.row_executions
-                        + engine.oneshot_engine.explorer.row_executions),
         window_hits=window_hits,
         window_misses=window_misses,
         window_evictions=window_evictions,
@@ -416,7 +395,6 @@ def collect_stats(engine: WukongSEngine) -> EngineStats:
         temporal_plan_misses=engine.temporal.plan_cache_misses,
         temporal_plan_evictions=engine.temporal.plan_cache_evictions,
         temporal_batch_executions=engine.temporal.batch_executions,
-        temporal_row_executions=engine.temporal.row_executions,
     )
     queries = []
     for handle in engine.continuous.queries.values():

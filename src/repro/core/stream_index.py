@@ -186,54 +186,12 @@ class StreamIndex:
         return bisect_right(self._batch_nos, last_batch) \
             - bisect_left(self._batch_nos, first_batch)
 
-    def lookup_spans(self, key: Key, first_batch: int, last_batch: int,
-                     meter: Optional[LatencyMeter] = None) -> List[OwnedSpan]:
-        """Spans for ``key`` across batches [first, last] (inclusive)."""
-        if meter is not None:
-            probes = self._probes_in(first_batch, last_batch)
-            if probes:
-                meter.charge(self.cost.index_probe_ns, times=probes,
-                             category="store")
-        spans: List[OwnedSpan] = []
-        postings = self._key_postings.get(key)
-        if postings:
-            lo = bisect_left(postings, first_batch, key=_posting_batch)
-            hi = bisect_right(postings, last_batch, lo=lo, key=_posting_batch)
-            for _, found in postings[lo:hi]:
-                spans.extend(found)
-        return spans
-
-    def vertices(self, eid: int, d: int, first_batch: int, last_batch: int,
-                 meter: Optional[LatencyMeter] = None) -> List[int]:
-        """Distinct vertices touched by (eid, d) edges in the batch range."""
-        out: List[int] = []
-        seen: Set[int] = set()
-        scanned = 0
-        postings = self._vertex_postings.get((eid, d))
-        if postings:
-            lo = bisect_left(postings, first_batch, key=_posting_batch)
-            hi = bisect_right(postings, last_batch, lo=lo, key=_posting_batch)
-            for _, members in postings[lo:hi]:
-                scanned += len(members)
-                for vid in members:
-                    if vid not in seen:
-                        seen.add(vid)
-                        out.append(vid)
-        if meter is not None:
-            probes = self._probes_in(first_batch, last_batch)
-            if probes:
-                meter.charge(self.cost.index_probe_ns, times=probes,
-                             category="store")
-                meter.charge(self.cost.scan_entry_ns, times=scanned,
-                             category="store")
-        return out
-
     def slices_in(self, first_batch: int,
                   last_batch: int) -> List[IndexSlice]:
         """The live slices with ``batch_no`` in [first, last], oldest first.
 
         Wall-clock-only helper for the columnar window view; simulated
-        probe charges stay with the lookup that consumes the slices.
+        probe charges stay with the window access that reads the view.
         """
         lo = bisect_left(self._batch_nos, first_batch)
         hi = bisect_right(self._batch_nos, last_batch)
@@ -291,16 +249,16 @@ _EMPTY_SET: set = set()
 
 
 class _KeyColumn:
-    """Flat window column of one key: values plus replayable geometry.
+    """Flat window column of one key: values plus their span geometry.
 
     ``values`` is the concatenation of the key's value-list entries across
-    the window's batches (in batch order — exactly what the row path's
-    span walk returns).  ``merged`` is the coalesced span list the row path
-    would derive via ``_merge_spans``; lookups replay its simulated
-    charges (one remote read per non-home span, one scan per entry)
-    without re-reading the store.  ``batch_counts`` records how many
-    values each contributing batch added, which is what lets the expired
-    prefix be dropped without a rebuild.
+    the window's batches, in batch order.  ``merged`` is the key's span
+    list with contiguous same-owner spans coalesced (injection appends in
+    batch order, so consecutive batches' spans line up end-to-start);
+    readers charge against it (one remote read per non-home span, one
+    scan per entry) without re-reading the store.  ``batch_counts``
+    records how many values each contributing batch added, which is what
+    lets the expired prefix be dropped without a rebuild.
     """
 
     __slots__ = ("values", "merged", "batch_counts", "_set", "_distinct")
@@ -339,15 +297,14 @@ class ColumnarSlice:
 
     Instead of walking postings and dereferencing spans per row, the view
     materializes each looked-up key as one contiguous value column (plus
-    the merged-span geometry needed to replay the row path's simulated
-    charges bit-for-bit) and each ``(eid, d)`` vertex group as one deduped
-    start column.  Columns build lazily on first lookup and live across
+    the merged-span geometry its readers charge against) and each
+    ``(eid, d)`` vertex group as one deduped start column.  Columns build lazily on first lookup and live across
     window closes: because ``[RANGE r STEP s]`` windows overlap heavily,
     :meth:`advance` reuses the previous close's columns, appending only
     the newly closed batches and dropping the expired prefix — the
     incremental window delta.  All of it is wall-clock bookkeeping; no
-    simulated time is charged here (readers replay the exact row-path
-    charges against the cached geometry).
+    simulated time is charged here (readers charge against the cached
+    geometry).
 
     Columns are replaced, never mutated, on advance: callers may hold a
     returned list across a close without seeing it change underneath.
@@ -532,7 +489,7 @@ class ColumnarSlice:
             if vertex_cols.pop(group, None) is not None:
                 self.evictions += 1
 
-    # -- columnar reads (charge-free; callers replay charges) --------------
+    # -- columnar reads (charge-free; callers charge) -----------------------
     def key_column(self, key: Key) -> Optional[_KeyColumn]:
         """The window column of ``key``, or None if the key has no spans
         in the current range (the absence is cached too)."""
@@ -576,7 +533,7 @@ class ColumnarSlice:
 
     def vertices(self, eid: int, d: int) -> Tuple[List[int], int]:
         """Deduped start column of ``(eid, d)`` plus the scanned member
-        count (the row path's simulated scan charge)."""
+        count (the read's simulated scan charge)."""
         group = (eid, d)
         cached = self._vertex_cols.get(group)
         if cached is not None:
@@ -599,8 +556,8 @@ class ColumnarSlice:
                     lst = member_lists[cache_key] = list(members)
                 scanned += len(lst)
                 lists.append(lst)
-        # dict.fromkeys deduplicates in first-occurrence order over the
-        # same per-slice iteration the row path uses — identical output.
+        # dict.fromkeys deduplicates in first-occurrence order, slice by
+        # slice.
         out = list(dict.fromkeys(chain.from_iterable(lists)))
         cached = (out, scanned)
         self._vertex_cols[group] = cached
@@ -715,6 +672,3 @@ class StreamIndexRegistry:
         """Total bytes across replicas of one stream's index."""
         replicas = max(1, len(self._replicas.get(stream, ())))
         return self.index(stream).memory_bytes() * replicas
-
-    def total_memory_bytes(self) -> int:
-        return sum(self.memory_bytes(s) for s in self._indexes)

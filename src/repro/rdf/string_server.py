@@ -13,7 +13,7 @@ implementation: IDs are never reclaimed.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import StoreError
 from repro.rdf.ids import INDEX_VID, MAX_EID, MAX_VID
@@ -109,10 +109,6 @@ class StringServer:
     def encode_tuple(self, tup: TimedTuple) -> EncodedTuple:
         """Encode one timed tuple, allocating IDs as needed."""
         return EncodedTuple(self.encode_triple(tup.triple), tup.timestamp_ms)
-
-    def encode_triples(self, triples: Iterable[Triple]) -> List[EncodedTriple]:
-        """Encode a batch of triples."""
-        return [self.encode_triple(t) for t in triples]
 
     def decode_triple(self, enc: EncodedTriple) -> Triple:
         """Decode an encoded triple back to strings."""

@@ -253,15 +253,6 @@ class DistributedStore:
         charges.flush(meter)
         return fetched
 
-    def span_from(self, home_node: int, span: ValueSpan, owner: int,
-                  meter: LatencyMeter, category: str = "store") -> List[int]:
-        """Direct span read (stream-index fast path): at most one remote read."""
-        shard = self.shards[owner]
-        if owner != home_node:
-            self.cluster.fabric.remote_read(meter, 16 + 8 * span.length,
-                                            category="network")
-        return shard.lookup_span(span, meter=meter, category=category)
-
     def local_index(self, node_id: int, eid: int, d: int,
                     meter: LatencyMeter, category: str = "store") -> List[int]:
         """One node's local portion of an index vertex."""

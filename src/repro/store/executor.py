@@ -1,9 +1,9 @@
 """The graph-exploration query executor.
 
 Evaluates an :class:`~repro.sparql.planner.ExecutionPlan` by extending
-variable-binding rows one pattern at a time, exactly as Wukong's
-exploration engine: each step turns the current binding set into neighbour
-lookups, so intermediate results stay pruned instead of exploding through
+variable bindings one pattern at a time, exactly as Wukong's exploration
+engine: each step turns the current binding set into neighbour lookups,
+so intermediate results stay pruned instead of exploding through
 relational joins (the "join bomb" the paper contrasts against).
 
 Three execution modes mirror the paper (§5, "Leveraging RDMA"):
@@ -28,52 +28,37 @@ resolver, so the same executor drives one-shot queries (persistent store
 only) and continuous queries (stream windows + persistent store) — the
 global-plan advantage of the integrated design.
 
-Fast path: each plan is *compiled* once — variables get fixed slot
-indices, and binding rows become plain lists indexed by slot (``None`` =
-unbound) instead of per-row dicts.  Step patterns, the FILTER schedule and
-UNION/OPTIONAL sub-plans are resolved to slots at compile time and cached
-on the plan.  This only changes wall-clock speed: lookup and binding
-charges are issued for exactly the same events as the dict-row
-implementation (aggregated per expansion; meters sum exact integer
-picoseconds, so the simulated totals are identical — see DESIGN.md,
-"Wall-clock vs simulated time").
-
-Columnar batch exploration: every plain step sequence — in-place,
-fork-join and migrate alike, with or without a FILTER schedule — keeps
-the whole binding set as a :class:`_Batch` — one flat column per slot —
-instead of one list per row.  Expanding a step then works on whole
-columns (neighbour-list concatenation, ``[v] * k`` repetition, index
-selections), the per-batch key probes are deduplicated exactly as the
-row path's per-expansion neighbour cache did, and projection zips the
-projected columns straight into result tuples.  BigSR (arXiv:1804.04367)
-motivates the layout: batch/columnar evaluation amortizes per-row
-interpreter overhead for large binding sets.  The charged events are
-unchanged — neighbour fetches are issued once per distinct start vertex
-in first-occurrence row order and binding charges aggregate per
-expansion.  Simulated time is integer picoseconds, so the order and
-grouping of charges never matter and the total equals the
-row-at-a-time path's (guarded by ``tests/core/test_determinism.py``).
+Each plan is *compiled* once: variables get fixed slot indices, and step
+patterns, the FILTER schedule and UNION/OPTIONAL sub-plans are resolved
+to slots and cached on the plan.  The binding set is a :class:`_Batch` —
+one flat column per slot — in every mode.  Expanding a step works on
+whole columns (neighbour-list concatenation, repetition, index
+selections), key probes are deduplicated per expansion in
+first-occurrence row order, and projection zips the projected columns
+straight into result tuples.  BigSR (arXiv:1804.04367) motivates the
+layout: columnar evaluation amortizes per-row interpreter overhead for
+large binding sets.  Binding and filter charges aggregate per expansion;
+meters sum exact integer picoseconds, so grouping never changes a total
+(see DESIGN.md, "Wall-clock vs simulated time").
 
 The distributed modes ship whole column batches between nodes: routing
-is a columnar partition-by-owner (``_Batch.select`` over first-occurrence
-owner groups, so per-node row order matches the row path's appends), each
-per-node branch expands columnar under its own spawned meter, and the
-bulk-message charge per hop is the row path's largest-single-transfer
-formula verbatim.  Step-scheduled FILTERs evaluate as vectorized selects
-over slot columns, memoizing the (charge-free) predicate evaluation per
-distinct operand value; the per-row ``filter_ns`` charges aggregate into
-one call.  ``use_batch=False`` keeps the row-at-a-time
-kernels — the differential tests and the wall-clock bench run both paths
-and require identical results, charges and (for the bench) a speedup.
+is a columnar partition-by-owner, each per-node branch expands under its
+own spawned meter, and each hop charges its largest single bulk
+transfer.  Step-scheduled FILTERs evaluate as vectorized selects over
+slot columns, memoizing the (charge-free) predicate evaluation per
+distinct operand value.  UNION arms and OPTIONAL groups run at the home
+node, one solution row at a time (each row is its own one-row batch, so
+it gets its own neighbour probes).  ``tests/core/test_pinned_charges.py``
+holds the rows and charges to a fixture recorded from an independent
+row-at-a-time implementation.
 """
 
 from __future__ import annotations
 
 import time
-from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat
-from operator import contains, itemgetter
+from operator import contains
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import PlanError
@@ -95,7 +80,7 @@ from repro.store.distributed import StoreAccess
 #: One variable-binding row in the public (dict) API.
 Row = Dict[str, int]
 
-#: Internal fast-path row: one value per compiled slot, None = unbound.
+#: One value per compiled slot, None = unbound.
 SlotRow = List[Optional[int]]
 
 #: Maps a pattern to the data source it should read.
@@ -118,9 +103,6 @@ class ExecutionResult:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def as_dicts(self) -> List[Dict[str, int]]:
-        return [dict(zip(self.variables, row)) for row in self.rows]
 
     def as_bool(self) -> bool:
         """The boolean answer of an ASK query (any solution exists)."""
@@ -153,9 +135,8 @@ class _CompiledFilter:
     memoizing the (charge-free) predicate evaluation per distinct operand
     value — the verdict of ``filter_matches`` is a pure function of the
     operand vids, so a memo hit is semantically identical to re-running
-    it.  Filter charges are issued by the caller, aggregated exactly as
-    the row path charges them (``filter_ns`` per row per filter, before
-    any evaluation).
+    it.  Filter charges are issued by the caller (``filter_ns`` per row
+    per filter, regardless of the verdict).
     """
 
     __slots__ = ("expr", "left_slot", "right_slot")
@@ -199,9 +180,9 @@ class _CompiledFilter:
 class _CompiledPlan:
     """Slot layout + precompiled steps/filters/sub-plans of one plan."""
 
-    __slots__ = ("slots", "nslots", "steps", "filters_at", "cfilters_at",
+    __slots__ = ("slots", "nslots", "steps", "cfilters_at",
                  "leftover_filters", "unions", "optionals",
-                 "project_slots", "project_getter")
+                 "project_slots")
 
     def __init__(self, plan: ExecutionPlan):
         from repro.sparql.planner import plan_steps
@@ -222,18 +203,17 @@ class _CompiledPlan:
             for step in plan.steps:
                 bound |= set(step.pattern.variables())
                 step_vars.append(set(bound))
-            self.filters_at, self.leftover_filters = \
+            filters_at, self.leftover_filters = \
                 filters_by_step(query, step_vars)
             self.cfilters_at = [
                 [_CompiledFilter(expr, self.slots) for expr in step_filters]
-                for step_filters in self.filters_at]
+                for step_filters in filters_at]
         else:
-            self.filters_at, self.leftover_filters = None, []
+            self.leftover_filters = []
             self.cfilters_at = None
 
         # UNION branches and OPTIONAL groups are planned with the variables
-        # already bound upstream marked as prebound, exactly as the
-        # uncompiled executor planned them per execution.
+        # already bound upstream marked as prebound.
         prebound = set(query.mandatory_variables())
         self.unions: List[List[List[_CompiledStep]]] = []
         for union in query.unions:
@@ -254,17 +234,6 @@ class _CompiledPlan:
         #: Slot index per projected variable (None: never bound -> -1).
         self.project_slots = [(var, self.slots.get(var))
                               for var in query.projected()]
-        #: C-speed row -> projected tuple, valid when every projected
-        #: variable has a slot bound in every surviving row (steps and
-        #: unions bind their variables unconditionally; only OPTIONAL
-        #: groups leave variables unbound).
-        proj = [slot for _, slot in self.project_slots]
-        if proj and None not in proj and not query.optionals:
-            getter = itemgetter(*proj)
-            self.project_getter = (lambda row: (getter(row),)) \
-                if len(proj) == 1 else getter
-        else:
-            self.project_getter = None
 
 
 class _RowView:
@@ -293,12 +262,13 @@ class _Batch:
     """A binding set in columnar layout: one flat column per slot.
 
     ``cols[slot]`` is either None (the slot is unbound in every row) or a
-    list of ``nrows`` vids.  Columns are treated as immutable: kernels
+    list of ``nrows`` values.  Columns are treated as immutable: kernels
     build new column lists (or share unchanged ones) instead of mutating,
     so batches may alias columns and store-owned neighbour lists freely.
-    The layout is only used on uniform paths (plain step sequences, where
-    a step binds its slots in *all* rows), never for OPTIONAL-produced
-    mixed rows — those stay row-at-a-time.
+    Step kernels bind a slot in *all* rows of their output; only the
+    OPTIONAL stage leaves None inside a bound column (rows its group
+    could not extend), and it feeds the step kernels one-row batches
+    built by :meth:`row`, which never hold such a column.
 
     ``distinct`` tracks whether the rows are provably pairwise distinct
     (over their bound slots).  Expansion kernels prove it forward: a step
@@ -324,16 +294,23 @@ class _Batch:
 
     @staticmethod
     def from_rows(rows: List[SlotRow], nslots: int) -> "_Batch":
+        """Columns of rows that all bind the same slots."""
         if not rows:
             return _Batch.empty(nslots)
         if not nslots:
             return _Batch(len(rows), [])
         cols: List[Optional[List[int]]] = [list(c) for c in zip(*rows)]
-        # Uniform paths bind slots for all rows or none, so checking the
-        # first element classifies the whole column.  Row provenance is
-        # unknown, so ``distinct`` stays False (dedup will run).
+        # The rows bind the same slots, so the first element classifies
+        # the whole column.  Row provenance is unknown, so ``distinct``
+        # stays False (dedup will run).
         return _Batch(len(rows),
                       [None if c[0] is None else c for c in cols])
+
+    def row(self, index: int) -> "_Batch":
+        """Row ``index`` as a one-row batch (a None value is unbound)."""
+        return _Batch(1, [None if c is None or c[index] is None
+                          else [c[index]] for c in self.cols],
+                      distinct=True)
 
     def to_rows(self) -> List[SlotRow]:
         if not self.nrows:
@@ -358,16 +335,16 @@ class _Batch:
     def concat(parts: List["_Batch"], nslots: int) -> "_Batch":
         """Row-wise concatenation, preserving part order.
 
-        Parts on a uniform path share the same bound-slot set; a column
-        bound in some parts but not others (never produced by the step
-        kernels) is filled with None for the unbound parts.
+        A column bound in some parts but not others is filled with None
+        for the unbound parts (OPTIONAL output).
 
         ``distinct`` carries over when every part is distinct: the
-        distributed drivers (the only callers) concatenate per-node parts
-        that descend from disjoint row subsets of one distinct batch — a
-        routing partition, or an index start partitioned by vertex owner
-        — and expansions preserve every input slot value, so rows from
-        different parts always differ on some slot.
+        distributed drivers concatenate per-node parts that descend from
+        disjoint row subsets of one distinct batch — a routing partition,
+        or an index start partitioned by vertex owner — and expansions
+        preserve every input slot value, so rows from different parts
+        always differ on some slot.  UNION and OPTIONAL parts can
+        coincide, so those callers drop the flag.
         """
         parts = [part for part in parts if part.nrows]
         if not parts:
@@ -398,19 +375,13 @@ class GraphExplorer:
     plain pattern queries run without it.
     """
 
-    def __init__(self, cluster: Cluster, strings=None,
-                 use_batch: bool = True):
+    def __init__(self, cluster: Cluster, strings=None):
         self.cluster = cluster
         self.cost = cluster.cost
         self.strings = strings
-        #: Columnar batch kernels for the step phase (all modes); False
-        #: keeps the row-at-a-time kernels.  Wall-clock-only: both paths
-        #: issue bit-identical simulated charges.
-        self.use_batch = use_batch
-        #: Wall-clock-only counters: executions whose step phase ran
-        #: columnar vs row-at-a-time (surfaced via ``core.stats``).
+        #: Wall-clock-only counter: executions that ran a step phase
+        #: (surfaced via ``core.stats``).
         self.batch_executions = 0
-        self.row_executions = 0
         #: When set (a dict), wall-clock seconds are accumulated under
         #: "explore" and "project" per execution (bench instrumentation).
         self.wall_stats = None
@@ -456,82 +427,43 @@ class GraphExplorer:
                 mode = "fork_join"
             else:
                 mode = "in_place"
+        if mode not in ("in_place", "fork_join", "migrate"):
+            raise PlanError(f"unknown execution mode: {mode}")
         wall = self.wall_stats
         act = self.tracer.current if self.tracer is not None else None
         if act is not None and act.meter is not meter:
             act = None  # the live activity is not this execution's
         started = time.perf_counter() if wall is not None else 0.0
         if not plan.steps:
-            rows = [[None] * compiled.nslots]  # a pure-UNION WHERE block
-        elif self.use_batch:
-            # Columnar batch fast path: uniform step sequence in any mode
-            # (FILTER schedules evaluate as vectorized selects).  Falls
-            # back to rows at the UNION/OPTIONAL boundary.
+            # A pure-UNION WHERE block starts from the empty solution.
+            batch = _Batch(1, [None] * compiled.nslots, distinct=True)
+        else:
             if mode == "in_place":
                 batch = self._run_steps_batch(compiled,
                                               access_factory(home_node),
                                               meter)
-            elif mode in ("fork_join", "migrate"):
+            else:
                 batch = self._run_migrate_batch(compiled, access_factory,
                                                 meter, home_node)
                 if mode == "fork_join":
                     meter.charge(self.cost.join_gather_ns,
                                  category="gather")
-            else:
-                raise PlanError(f"unknown execution mode: {mode}")
             self.batch_executions += 1
-            if not (compiled.unions or compiled.optionals
-                    or compiled.leftover_filters):
-                if wall is not None:
-                    explored = time.perf_counter()
-                    wall["explore"] = wall.get("explore", 0.0) \
-                        + (explored - started)
-                if act is not None:
-                    act.mark("explore", mode=mode)
-                result = self._project_batch(plan, compiled, batch, meter)
-                if wall is not None:
-                    wall["project"] = wall.get("project", 0.0) \
-                        + (time.perf_counter() - explored)
-                if act is not None:
-                    act.mark("project")
-                return result
-            rows = batch.to_rows()
-        elif mode == "in_place":
-            self.row_executions += 1
-            rows = self._run_steps(compiled, access_factory(home_node),
-                                   meter)
-        elif mode == "fork_join":
-            self.row_executions += 1
-            rows = self._run_fork_join(compiled, access_factory, meter,
-                                       home_node)
-        elif mode == "migrate":
-            self.row_executions += 1
-            rows = self._run_migrate(compiled, access_factory, meter,
-                                     home_node)
-        else:
-            raise PlanError(f"unknown execution mode: {mode}")
-        if compiled.unions and rows:
-            rows = self._apply_unions(compiled, rows,
-                                      access_factory(home_node), meter)
-        if compiled.optionals and rows:
-            rows = self._apply_optionals(compiled, rows,
-                                         access_factory(home_node), meter)
-        if compiled.leftover_filters and rows:
-            # Filters over OPTIONAL-bound variables run once those resolve
-            # (an unmatched OPTIONAL leaves them unbound -> row eliminated).
-            from repro.sparql.evaluate import apply_filters
-            first_access = access_factory(home_node)(plan.steps[0].pattern)
-            views = apply_filters(
-                [_RowView(compiled.slots, row) for row in rows],
-                compiled.leftover_filters, self.strings.entity_name,
-                first_access.resolve_entity, meter, self.cost, strict=False)
-            rows = [view.row for view in views]
+        if compiled.unions and batch.nrows:
+            batch = self._apply_unions(compiled, batch,
+                                       access_factory(home_node), meter)
+        if compiled.optionals and batch.nrows:
+            batch = self._apply_optionals(compiled, batch,
+                                          access_factory(home_node), meter)
+        if compiled.leftover_filters and batch.nrows:
+            batch = self._apply_leftover_filters(
+                plan, compiled, batch, access_factory(home_node), meter)
         if wall is not None:
             explored = time.perf_counter()
             wall["explore"] = wall.get("explore", 0.0) + (explored - started)
         if act is not None:
             act.mark("explore", mode=mode)
-        result = self._project(plan, compiled, rows, meter)
+        result = self._project(plan, compiled, batch, meter)
         if wall is not None:
             wall["project"] = wall.get("project", 0.0) \
                 + (time.perf_counter() - explored)
@@ -546,8 +478,9 @@ class GraphExplorer:
 
         Returns raw binding rows without projection.  Used for embedded
         sub-queries whose seed bindings come from another system (the
-        composite design) and by tests.  Rows are dicts at this boundary;
-        an ad-hoc slot layout is compiled for the given steps.
+        composite design; its seeds are join results, so every seed binds
+        the same variables) and by tests.  Rows are dicts at this
+        boundary; an ad-hoc slot layout is compiled for the given steps.
         """
         slots: Dict[str, int] = {}
         for step in steps:
@@ -568,66 +501,80 @@ class GraphExplorer:
                 for var, vid in seed.items():
                     row[slots[var]] = vid
                 rows.append(row)
+            batch = _Batch.from_rows(rows, nslots)
         else:
-            rows = [[None] * nslots]
-        rows = self._explore_rows(csteps, rows, access_for, meter)
+            batch = _Batch(1, [None] * nslots, distinct=True)
+        batch = self._explore(csteps, batch, access_for, meter)
         return [{var: row[slot] for var, slot in slots.items()
-                 if row[slot] is not None} for row in rows]
+                 if row[slot] is not None} for row in batch.to_rows()]
 
-    # -- UNION / OPTIONAL ---------------------------------------------------
-    def _apply_unions(self, compiled: _CompiledPlan, rows: List[SlotRow],
+    # -- UNION / OPTIONAL / leftover FILTERs ----------------------------------
+    def _explore(self, csteps: Sequence[_CompiledStep], batch: _Batch,
+                 access_for: AccessResolver,
+                 meter: LatencyMeter) -> _Batch:
+        """Run bare compiled steps over a batch (no filters/projection)."""
+        for cstep in csteps:
+            if not batch.nrows:
+                break
+            batch = self._expand_batch(cstep, batch,
+                                       access_for(cstep.pattern), meter)
+        return batch
+
+    def _apply_unions(self, compiled: _CompiledPlan, batch: _Batch,
                       access_for: AccessResolver,
-                      meter: LatencyMeter) -> List[SlotRow]:
+                      meter: LatencyMeter) -> _Batch:
         """Alternate each UNION: concatenate the branches' extensions.
 
         Branches bind identical variable sets (the parser enforces it),
         so downstream joins and projections see uniform rows.  Each row is
-        explored separately (per-row neighbour caches), preserving the
-        exact lookup charges of the uncompiled executor.
+        explored separately, with its own neighbour probes — the
+        calibrated UNION cost.
         """
         for branches in compiled.unions:
-            combined: List[SlotRow] = []
-            for csteps in branches:
-                for row in rows:
-                    combined.extend(self._explore_rows(
-                        csteps, [row.copy()], access_for, meter))
-            rows = combined
-            if not rows:
+            parts = [self._explore(csteps, batch.row(index), access_for,
+                                   meter)
+                     for csteps in branches
+                     for index in range(batch.nrows)]
+            combined = _Batch.concat(parts, compiled.nslots)
+            batch = _Batch(combined.nrows, combined.cols)
+            if not batch.nrows:
                 break
-        return rows
+        return batch
 
-    def _apply_optionals(self, compiled: _CompiledPlan, rows: List[SlotRow],
+    def _apply_optionals(self, compiled: _CompiledPlan, batch: _Batch,
                          access_for: AccessResolver,
-                         meter: LatencyMeter) -> List[SlotRow]:
+                         meter: LatencyMeter) -> _Batch:
         """Left-outer-join each OPTIONAL group onto the solution rows.
 
         Rows the group cannot extend survive with its variables unbound —
         SPARQL's OPTIONAL semantics.  Optional resolution runs at the home
-        node (seeds are the already-pruned solution set).
+        node (seeds are the already-pruned solution set), one row at a
+        time, like UNION arms.
         """
         for csteps in compiled.optionals:
-            extended: List[SlotRow] = []
-            for row in rows:
-                matches = self._explore_rows(csteps, [row.copy()],
-                                             access_for, meter)
-                if matches:
-                    extended.extend(matches)
-                else:
-                    extended.append(row)
-            rows = extended
-        return rows
+            parts = []
+            for index in range(batch.nrows):
+                row = batch.row(index)
+                matches = self._explore(csteps, row, access_for, meter)
+                parts.append(matches if matches.nrows else row)
+            combined = _Batch.concat(parts, compiled.nslots)
+            batch = _Batch(combined.nrows, combined.cols)
+        return batch
 
-    def _apply_step_filters(self, compiled: _CompiledPlan,
-                            rows: List[SlotRow], filters,
-                            access: StoreAccess,
-                            meter: LatencyMeter) -> List[SlotRow]:
-        if not filters or not rows:
-            return rows
+    def _apply_leftover_filters(self, plan: ExecutionPlan,
+                                compiled: _CompiledPlan, batch: _Batch,
+                                access_for: AccessResolver,
+                                meter: LatencyMeter) -> _Batch:
+        """Filters over OPTIONAL-bound variables, run once those resolve
+        (an unmatched OPTIONAL leaves them unbound -> row eliminated)."""
         from repro.sparql.evaluate import apply_filters
-        views = apply_filters([_RowView(compiled.slots, row) for row in rows],
-                              filters, self.strings.entity_name,
-                              access.resolve_entity, meter, self.cost)
-        return [view.row for view in views]
+        first_access = access_for(plan.steps[0].pattern)
+        views = [_RowView(compiled.slots, row) for row in batch.to_rows()]
+        kept = set(map(id, apply_filters(
+            views, compiled.leftover_filters, self.strings.entity_name,
+            first_access.resolve_entity, meter, self.cost, strict=False)))
+        return batch.select([index for index, view in enumerate(views)
+                             if id(view) in kept])
 
     def _apply_step_filters_batch(self, batch: _Batch,
                                   cfilters: List[_CompiledFilter],
@@ -635,10 +582,10 @@ class GraphExplorer:
                                   meter: LatencyMeter) -> _Batch:
         """Vectorized step-scheduled FILTERs over slot columns.
 
-        The row path charges ``filter_ns`` per row per filter *before*
-        evaluating that row (regardless of the verdict), so the whole
-        block aggregates into one charge; evaluation
-        itself is charge-free and memoized per distinct operand value.
+        ``filter_ns`` is charged per row per filter regardless of the
+        verdict, so the whole block aggregates into one charge;
+        evaluation itself is charge-free and memoized per distinct
+        operand value.
         """
         if not cfilters or not batch.nrows:
             return batch
@@ -653,145 +600,18 @@ class GraphExplorer:
             indices = cfilter.select(batch, indices, name_of, resolve)
         return batch.select(indices)
 
-    # -- fork-join ----------------------------------------------------------
-    def _run_fork_join(self, compiled: _CompiledPlan,
-                       access_factory: AccessFactory, meter: LatencyMeter,
-                       home_node: int) -> List[SlotRow]:
-        """Distributed execution with explicit fork/gather bookkeeping.
-
-        The dataflow is the migrating execution (rows follow the data);
-        fork-join adds the per-node dispatch cost and, with RDMA enabled,
-        moves every bulk transfer over one-sided verbs instead of TCP.
-        """
-        rows = self._run_migrate(compiled, access_factory, meter, home_node)
-        meter.charge(self.cost.join_gather_ns, category="gather")
-        return rows
-
-    # -- migrating execution ---------------------------------------------------
-    def _run_migrate(self, compiled: _CompiledPlan,
-                     access_factory: AccessFactory, meter: LatencyMeter,
-                     home_node: int) -> List[SlotRow]:
-        """Distributed execution: rows follow the data in bulk transfers."""
-        resolvers: Dict[int, AccessResolver] = {
-            node.node_id: access_factory(node.node_id)
-            for node in self.cluster.alive_nodes()
-        }
-        located: Dict[int, List[SlotRow]] = {
-            home_node: [[None] * compiled.nslots]}
-        act = self.tracer.current if self.tracer is not None else None
-        if act is not None and act.meter is not meter:
-            act = None  # the live activity is not this execution's
-        for index, cstep in enumerate(compiled.steps):
-            routed = self._route(cstep, located, resolvers, meter)
-            if not routed:
-                located = {}
-                break
-            group = act.group(f"step{index}") if act is not None else None
-            branches = []
-            next_located: Dict[int, List[SlotRow]] = {}
-            for node_id, rows in routed.items():
-                branch = meter.spawn()
-                access = resolvers[node_id](cstep.pattern)
-                out = self._expand(cstep, rows, access,
-                                   branch, index_owner=node_id
-                                   if cstep.kind == INDEX_START else None)
-                if compiled.filters_at is not None:
-                    out = self._apply_step_filters(
-                        compiled, out, compiled.filters_at[index], access,
-                        branch)
-                if out:
-                    next_located[node_id] = out
-                branches.append(branch)
-                if group is not None:
-                    group.branch(f"node{node_id}", branch, node=node_id,
-                                 rows=len(out))
-            meter.join_parallel(branches)
-            if group is not None:
-                group.close()
-            located = next_located
-            if not located:
-                break
-        # Gather partial results back at the home node (parallel sends).
-        group = act.group("gather") if act is not None else None
-        gather = []
-        all_rows: List[SlotRow] = []
-        for node_id, rows in located.items():
-            branch = meter.spawn()
-            if node_id != home_node and rows:
-                self.cluster.fabric.bulk_transfer(
-                    branch, _ROW_BYTES * len(rows), category="network")
-            gather.append(branch)
-            all_rows.extend(rows)
-            if group is not None:
-                group.branch(f"node{node_id}", branch, node=node_id,
-                             rows=len(rows))
-        meter.join_parallel(gather)
-        if group is not None:
-            group.close()
-        return all_rows
-
-    def _route(self, cstep: _CompiledStep,
-               located: Dict[int, List[SlotRow]],
-               resolvers: Dict[int, AccessResolver],
-               meter: LatencyMeter) -> Dict[int, List[SlotRow]]:
-        """Move rows to the owner of the step's start vertex.
-
-        Migration messages from different nodes are concurrent; the meter
-        is charged with the largest transfer of the round.
-        """
-        all_rows = [row for rows in located.values() for row in rows]
-        routed: Dict[int, List[SlotRow]] = defaultdict(list)
-        if cstep.kind == INDEX_START:
-            # Broadcast: every node explores its local start vertices.
-            # Dispatching the sub-query to each node is the fork cost.
-            # Rows are never mutated in place, so branches can share them.
-            meter.charge(self.cost.fork_ns, times=len(resolvers),
-                         category="fork")
-            for node_id in resolvers:
-                routed[node_id] = list(all_rows)
-        elif cstep.kind in (CONST_SUBJECT, CONST_OBJECT):
-            term = cstep.subject if cstep.kind == CONST_SUBJECT \
-                else cstep.object
-            any_resolver = next(iter(resolvers.values()))
-            vid = any_resolver(cstep.pattern).resolve_entity(term)
-            if vid is None:
-                return {}
-            routed[self.cluster.owner_of(vid)] = all_rows
-        else:
-            slot = cstep.subj_slot if cstep.kind == BOUND_SUBJECT \
-                else cstep.obj_slot
-            owner_of = self.cluster.owner_of
-            for row in all_rows:
-                routed[owner_of(row[slot])].append(row)
-        # Charge the migration round: the largest single transfer that
-        # actually crosses nodes (sends proceed in parallel).
-        largest = 0
-        for dst, rows in routed.items():
-            stayed = len(located.get(dst, ()))
-            moving = max(0, len(rows) - stayed)
-            largest = max(largest, moving)
-        if largest and len(located) == 1 and set(located) == set(routed):
-            largest = 0  # everything already sits on the right node
-        if largest:
-            self.cluster.fabric.bulk_transfer(meter, _ROW_BYTES * largest,
-                                              category="network")
-        return dict(routed)
-
-    # -- columnar distributed execution ---------------------------------------
+    # -- distributed execution ----------------------------------------------
     def _run_migrate_batch(self, compiled: _CompiledPlan,
                            access_factory: AccessFactory,
                            meter: LatencyMeter,
                            home_node: int) -> _Batch:
-        """Columnar :meth:`_run_migrate`: whole column batches follow the
-        data between nodes.
+        """Distributed execution: whole column batches follow the data.
 
-        Charge-equivalent by construction: routing partitions the merged
-        batch by owner in first-occurrence row order (so per-node row
-        order matches the row path's appends), per-node branches expand
-        under spawned meters joined in the same node order (the
-        first-strict-maximum branch — and with it the merged category
-        breakdown — is the same one), and the gather sends the same
-        per-node row counts.
+        Fork-join and migrate share this dataflow; fork-join adds the
+        per-node dispatch cost and, with RDMA enabled, moves every bulk
+        transfer over one-sided verbs instead of TCP.  Per-node branches
+        expand under spawned meters joined in node order, and partial
+        results are gathered back at the home node in parallel sends.
         """
         resolvers: Dict[int, AccessResolver] = {
             node.node_id: access_factory(node.node_id)
@@ -856,13 +676,12 @@ class GraphExplorer:
                      located: Dict[int, _Batch],
                      resolvers: Dict[int, AccessResolver],
                      meter: LatencyMeter) -> Dict[int, _Batch]:
-        """Columnar :meth:`_route`: partition the merged batch by the
-        owner of each row's start vertex.
+        """Move rows to the owner of the step's start vertex.
 
-        Owner groups are keyed in first-occurrence row order over the
-        concatenated batch — the same node order (and per-node row order)
-        the row path's per-row appends produce — and the migration round
-        charges the row path's largest-single-transfer formula verbatim.
+        The merged batch is partitioned by owner, with owner groups keyed
+        in first-occurrence row order.  Migration messages from different
+        nodes are concurrent; the meter is charged with the largest
+        transfer of the round.
         """
         merged = _Batch.concat(list(located.values()), nslots)
         routed: Dict[int, _Batch] = {}
@@ -898,6 +717,8 @@ class GraphExplorer:
                     group.append(i)
             routed = {node_id: merged.select(indices)
                       for node_id, indices in groups.items()}
+        # Charge the migration round: the largest single transfer that
+        # actually crosses nodes (sends proceed in parallel).
         largest = 0
         for dst, batch in routed.items():
             stayed_batch = located.get(dst)
@@ -911,16 +732,11 @@ class GraphExplorer:
                                               category="network")
         return routed
 
-    # -- columnar batch exploration -------------------------------------------
+    # -- exploration kernels --------------------------------------------------
     def _run_steps_batch(self, compiled: _CompiledPlan,
                          access_for: AccessResolver,
                          meter: LatencyMeter) -> _Batch:
-        """Run all steps on one node over a columnar batch.
-
-        Charge-equivalent to :meth:`_run_steps`: every store access,
-        binding and filter charge is issued for the same event in the
-        same order.
-        """
+        """Run all steps on one node over a columnar batch."""
         batch = _Batch(1, [None] * compiled.nslots, distinct=True)
         for index, cstep in enumerate(compiled.steps):
             access = access_for(cstep.pattern)
@@ -971,8 +787,9 @@ class GraphExplorer:
                          term: str, neighbors: List[int],
                          access: StoreAccess,
                          meter: LatencyMeter) -> _Batch:
-        """Columnar :meth:`_bind_side`: one shared neighbour list binds or
-        filters one side of the whole batch."""
+        """Match or bind one side of a pattern against a neighbour list
+        shared by every row (the other side was a constant).  One binding
+        charge per produced row."""
         nrows = batch.nrows
         nslots = len(batch.cols)
         if slot is None:  # the term is a constant: match, don't bind
@@ -1013,17 +830,15 @@ class GraphExplorer:
                             other_slot: Optional[int], other_term: str,
                             eid: int, direction: int, access: StoreAccess,
                             meter: LatencyMeter) -> _Batch:
-        """Columnar :meth:`_expand_bound`: neighbour expansion of a bound
-        column, with key probes deduplicated per batch.
+        """Neighbour expansion of a bound column.
 
         Neighbour lists are fetched once per distinct start vertex in
-        first-occurrence row order — exactly the row path's per-expansion
-        cache, and the same charges.
+        first-occurrence row order (one probe per key per expansion).
         """
         nslots = len(batch.cols)
         starts = batch.cols[bound_slot]
         if starts is None:
-            # Unbound everywhere (unmatched OPTIONAL shape): no row joins.
+            # Unbound (unmatched OPTIONAL): the pattern cannot join.
             return _Batch.empty(nslots)
         other_const: Optional[int] = None
         if other_slot is None:
@@ -1053,9 +868,9 @@ class GraphExplorer:
         other_col = batch.cols[other_slot] if other_slot is not None else None
         if other_const is not None or other_col is not None:
             # Membership filter against per-distinct-start neighbour sets
-            # (charge-free bookkeeping, as on the row path); a columnar
-            # access serves memoized per-column sets, and the row
-            # selection itself runs entirely in C via compress/contains.
+            # (charge-free bookkeeping); a columnar window access serves
+            # memoized per-column sets, and the row selection itself runs
+            # entirely in C via compress/contains.
             sets_hook = getattr(access, "neighbor_sets", None)
             sets = sets_hook(fetched, eid, direction) \
                 if sets_hook is not None else None
@@ -1118,28 +933,21 @@ class GraphExplorer:
                             eid: int, access: StoreAccess,
                             meter: LatencyMeter,
                             index_owner: Optional[int] = None) -> _Batch:
-        """Columnar :meth:`_expand_index` for the standard shape (single
-        seed row, subject variable unbound); anything else round-trips
-        through the row kernel.
+        """Enumerate subjects from the predicate index, then bind objects.
 
-        Every subject's neighbour list is fetched in one ``neighbors_many``
-        call, and the binding charges aggregate into one call; an access
-        without ``neighbors_many`` is fetched per subject.  The index
-        vertices are distinct, so the fetches and charges equal the row
-        kernel's.  With ``index_owner``, only start vertices owned by
-        that node are enumerated (fork-join/migrate branches partition
-        the start set).
+        The planner emits an index start only when the pattern's subject
+        and object are unbound variables, so every input row is extended
+        by the same (subject, object) pairs: a cross product, row-major.
+        The index is read once; each input row then fetches the subjects'
+        neighbour lists with one ``neighbors_many`` call (per subject on
+        an access without it) — the per-(row, subject) lookup charges are
+        part of the calibrated exploration cost.  With ``index_owner``,
+        only start vertices owned by that node are enumerated
+        (fork-join/migrate branches partition the start set).
         """
         subj_slot = cstep.subj_slot
         obj_slot = cstep.obj_slot
         nslots = len(batch.cols)
-        if batch.nrows != 1 or subj_slot is None \
-                or batch.cols[subj_slot] is not None \
-                or (obj_slot is not None and obj_slot != subj_slot
-                    and batch.cols[obj_slot] is not None):
-            rows = self._expand_index(batch.to_rows(), cstep, eid, access,
-                                      meter, index_owner)
-            return _Batch.from_rows(rows, nslots)
         if index_owner is not None:
             local_fn = getattr(access, "index_vertices_local", None)
             if local_fn is not None:
@@ -1152,15 +960,16 @@ class GraphExplorer:
         else:
             subjects = access.index_vertices(eid, DIR_OUT, meter)
         neighbors_many = getattr(access, "neighbors_many", None)
-        if neighbors_many is not None:
-            fetched = neighbors_many(subjects, eid, DIR_OUT, meter)
-        else:
-            neighbors_of = access.neighbors
-            fetched = {svid: neighbors_of(svid, eid, DIR_OUT, meter)
-                       for svid in subjects}
+        neighbors_of = access.neighbors
+        for _ in range(batch.nrows):
+            if neighbors_many is not None:
+                fetched = neighbors_many(subjects, eid, DIR_OUT, meter)
+            else:
+                fetched = {svid: neighbors_of(svid, eid, DIR_OUT, meter)
+                           for svid in subjects}
         # Distinct subjects each contribute rows no other subject can
         # (the subject lands in a column), so the output is distinct iff
-        # the subject list and every fetched list are duplicate-free.
+        # the inputs, the subject list and every fetched list are.
         distinct = batch.distinct and len(set(subjects)) == len(subjects)
         subj_col: List[int] = []
         obj_col: List[int] = []
@@ -1191,32 +1000,46 @@ class GraphExplorer:
                         verdict = all(len(set(lst)) == len(lst)
                                       for lst in lists)
                     distinct = verdict
-        nrows = len(subj_col)
-        if not nrows:
+        pairs = len(subj_col)
+        if not pairs:
             return _Batch.empty(nslots)
-        meter.charge(self.cost.binding_ns, times=nrows, category="explore")
+        nrows = batch.nrows
+        meter.charge(self.cost.binding_ns, times=nrows * pairs,
+                     category="explore")
+        reps = [pairs] * nrows
         out_cols: List[Optional[List[int]]] = []
         for index, column in enumerate(batch.cols):
             if index == subj_slot:
-                out_cols.append(subj_col)
+                out_cols.append(subj_col * nrows)
             elif index == obj_slot:
-                out_cols.append(obj_col)
+                out_cols.append(obj_col * nrows)
             elif column is None:
                 out_cols.append(None)
             else:  # a slot bound before the index start: repeat its value
-                out_cols.append(column * nrows)
-        return _Batch(nrows, out_cols, distinct=distinct)
+                out_cols.append(list(chain.from_iterable(
+                    map(repeat, column, reps))))
+        return _Batch(nrows * pairs, out_cols, distinct=distinct)
 
-    def _project_batch(self, plan: ExecutionPlan, compiled: _CompiledPlan,
-                       batch: _Batch,
-                       meter: LatencyMeter) -> ExecutionResult:
-        """Columnar :meth:`_project`: zip projected columns into tuples."""
+    # -- projection ------------------------------------------------------------
+    def _project(self, plan: ExecutionPlan, compiled: _CompiledPlan,
+                 batch: _Batch, meter: LatencyMeter) -> ExecutionResult:
+        """Zip the projected columns into deduplicated result tuples."""
         query = plan.query
         if query.is_ask:
             return ExecutionResult(variables=[],
                                    rows=[()] if batch.nrows else [])
         if query.aggregates:
-            return self._project(plan, compiled, batch.to_rows(), meter)
+            if self.strings is None:
+                raise PlanError(
+                    "aggregates need a string server; construct the "
+                    "explorer with GraphExplorer(cluster, strings)")
+            from repro.sparql.evaluate import aggregate_rows
+            views = [_RowView(compiled.slots, row)
+                     for row in batch.to_rows()]
+            out = aggregate_rows(views, query, self.strings.entity_name,
+                                 meter, self.cost)
+            return ExecutionResult(variables=query.output_columns(),
+                                   rows=_slice(out, query))
         result = ExecutionResult(
             variables=[var for var, _ in compiled.project_slots])
         nrows = batch.nrows
@@ -1225,7 +1048,12 @@ class GraphExplorer:
         for _, slot in compiled.project_slots:
             column = batch.cols[slot] if slot is not None else None
             proj_slots.add(slot)
-            proj_cols.append(column if column is not None else [-1] * nrows)
+            if column is None:
+                column = [-1] * nrows
+            elif compiled.optionals:
+                # Rows an OPTIONAL group left unextended: unbound -> -1.
+                column = [-1 if vid is None else vid for vid in column]
+            proj_cols.append(column)
         # The dedup is skippable when the rows are provably distinct and
         # every bound slot is projected: projecting a superset of the
         # bound slots of distinct rows cannot create duplicates (unbound
@@ -1235,9 +1063,9 @@ class GraphExplorer:
         no_dupes = batch.distinct and bound_slots <= proj_slots \
             and (bound_slots or nrows <= 1)
         if len(proj_cols) == 1:
-            # First-occurrence dedup in C: dict preserves insertion order,
-            # exactly the seen-set loop of the row kernel.  Single column:
-            # dedup the ints directly, tuple-wrap only the survivors.
+            # First-occurrence dedup in C: dict preserves insertion order.
+            # Single column: dedup the ints directly, tuple-wrap only the
+            # survivors.
             if no_dupes:
                 out = [(vid,) for vid in proj_cols[0]]
             else:
@@ -1252,246 +1080,6 @@ class GraphExplorer:
         meter.charge(self.cost.binding_ns, times=len(out),
                      category="project")
         result.rows = _slice(out, query)
-        return result
-
-    # -- core exploration -----------------------------------------------------
-    def _run_steps(self, compiled: _CompiledPlan,
-                   access_for: AccessResolver, meter: LatencyMeter,
-                   index_owner: Optional[int] = None) -> List[SlotRow]:
-        """Run all steps on one node.  ``index_owner`` restricts INDEX_START
-        enumeration to vertices owned by that node (fork-join branches)."""
-        rows: List[SlotRow] = [[None] * compiled.nslots]
-        for index, cstep in enumerate(compiled.steps):
-            owner = index_owner if cstep.kind == INDEX_START else None
-            access = access_for(cstep.pattern)
-            rows = self._expand(cstep, rows, access, meter,
-                                index_owner=owner)
-            if compiled.filters_at is not None:
-                rows = self._apply_step_filters(
-                    compiled, rows, compiled.filters_at[index], access,
-                    meter)
-            if not rows:
-                break
-        return rows
-
-    def _explore_rows(self, csteps: Sequence[_CompiledStep],
-                      rows: List[SlotRow], access_for: AccessResolver,
-                      meter: LatencyMeter) -> List[SlotRow]:
-        """Run bare compiled steps over slot rows (no filters/projection)."""
-        for cstep in csteps:
-            if not rows:
-                break
-            rows = self._expand(cstep, rows, access_for(cstep.pattern),
-                                meter)
-        return rows
-
-    def _expand(self, cstep: _CompiledStep, rows: List[SlotRow],
-                access: StoreAccess, meter: LatencyMeter,
-                index_owner: Optional[int] = None) -> List[SlotRow]:
-        eid = access.resolve_predicate(cstep.predicate)
-        if eid is None:
-            return []
-        kind = cstep.kind
-        if kind == CONST_SUBJECT:
-            svid = access.resolve_entity(cstep.subject)
-            if svid is None:
-                return []
-            neighbors = access.neighbors(svid, eid, DIR_OUT, meter)
-            return self._bind_side(rows, cstep.obj_slot, cstep.object,
-                                   neighbors, access, meter)
-        if kind == CONST_OBJECT:
-            ovid = access.resolve_entity(cstep.object)
-            if ovid is None:
-                return []
-            neighbors = access.neighbors(ovid, eid, DIR_IN, meter)
-            return self._bind_side(rows, cstep.subj_slot, cstep.subject,
-                                   neighbors, access, meter)
-        if kind == BOUND_SUBJECT:
-            return self._expand_bound(rows, cstep.subj_slot, cstep.obj_slot,
-                                      cstep.object, eid, DIR_OUT, access,
-                                      meter)
-        if kind == BOUND_OBJECT:
-            return self._expand_bound(rows, cstep.obj_slot, cstep.subj_slot,
-                                      cstep.subject, eid, DIR_IN, access,
-                                      meter)
-        if kind == INDEX_START:
-            return self._expand_index(rows, cstep, eid, access, meter,
-                                      index_owner)
-        raise PlanError(f"unknown step kind: {kind}")
-
-    def _bind_side(self, rows: List[SlotRow], slot: Optional[int],
-                   term: str, neighbors: List[int], access: StoreAccess,
-                   meter: LatencyMeter) -> List[SlotRow]:
-        """Match or bind one side of a pattern against a neighbour list,
-        shared by every input row (the other side was a constant).
-
-        One binding charge per produced row, aggregated into a single
-        call — identical totals to charging each binding separately.
-        """
-        if slot is None:  # the term is a constant: match, don't bind
-            required = access.resolve_entity(term)
-            if required is None or required not in neighbors:
-                return []
-            meter.charge(self.cost.binding_ns, times=len(rows),
-                         category="explore")
-            return list(rows)
-        out: List[SlotRow] = []
-        nset = None  # membership set, built on first bound-variable check
-        for row in rows:
-            bound = row[slot]
-            if bound is not None:
-                if nset is None:
-                    nset = set(neighbors)
-                if bound in nset:
-                    out.append(row)
-                continue
-            for vid in neighbors:
-                extended = row.copy()
-                extended[slot] = vid
-                out.append(extended)
-        if out:
-            meter.charge(self.cost.binding_ns, times=len(out),
-                         category="explore")
-        return out
-
-    def _expand_bound(self, rows: List[SlotRow], bound_slot: int,
-                      other_slot: Optional[int], other_term: str,
-                      eid: int, direction: int, access: StoreAccess,
-                      meter: LatencyMeter) -> List[SlotRow]:
-        """Expand rows through neighbour lookups of an already-bound variable."""
-        out: List[SlotRow] = []
-        fetched: Dict[int, List[int]] = {}
-        #: Membership sets, built lazily per start vertex — extend-only
-        #: expansions never pay for them.
-        fetched_sets: Dict[int, set] = {}
-        other_const: Optional[int] = None
-        if other_slot is None:
-            other_const = access.resolve_entity(other_term)
-            if other_const is None:
-                return []
-        for row in rows:
-            start = row[bound_slot]
-            if start is None:
-                # The variable is unbound in this row (unmatched OPTIONAL):
-                # the pattern cannot join it.
-                continue
-            neighbors = fetched.get(start)
-            if neighbors is None:
-                neighbors = access.neighbors(start, eid, direction, meter)
-                fetched[start] = neighbors
-            if other_const is not None:
-                nset = fetched_sets.get(start)
-                if nset is None:
-                    nset = fetched_sets[start] = set(neighbors)
-                if other_const in nset:
-                    out.append(row)
-                continue
-            bound_other = row[other_slot]
-            if bound_other is not None:
-                nset = fetched_sets.get(start)
-                if nset is None:
-                    nset = fetched_sets[start] = set(neighbors)
-                if bound_other in nset:
-                    out.append(row)
-                continue
-            copy = row.copy
-            append = out.append
-            for vid in neighbors:
-                extended = copy()
-                extended[other_slot] = vid
-                append(extended)
-        if out:
-            meter.charge(self.cost.binding_ns, times=len(out),
-                         category="explore")
-        return out
-
-    def _expand_index(self, rows: List[SlotRow], cstep: _CompiledStep,
-                      eid: int, access: StoreAccess, meter: LatencyMeter,
-                      index_owner: Optional[int] = None) -> List[SlotRow]:
-        """Enumerate subjects from the predicate index, then bind objects.
-
-        With ``index_owner``, only start vertices owned by that node are
-        expanded — fork-join/migrate branches partition the start set.
-        The per-(row, subject) neighbour lookup is preserved: its charges
-        are part of the calibrated exploration cost.
-        """
-        if index_owner is not None:
-            local_fn = getattr(access, "index_vertices_local", None)
-            if local_fn is not None:
-                subjects = local_fn(eid, DIR_OUT, index_owner, meter)
-            else:
-                subjects = [vid
-                            for vid in access.index_vertices(eid, DIR_OUT,
-                                                             meter)
-                            if self.cluster.owner_of(vid) == index_owner]
-        else:
-            subjects = access.index_vertices(eid, DIR_OUT, meter)
-        subj_slot = cstep.subj_slot
-        resolved = access.resolve_entity(cstep.subject) \
-            if subj_slot is None else None
-        out: List[SlotRow] = []
-        for row in rows:
-            for svid in subjects:
-                if subj_slot is not None:
-                    bound = row[subj_slot]
-                    if bound is not None and bound != svid:
-                        continue
-                    seed = row.copy()
-                    seed[subj_slot] = svid
-                else:
-                    if resolved != svid:
-                        continue
-                    seed = row.copy()
-                neighbors = access.neighbors(svid, eid, DIR_OUT, meter)
-                out.extend(self._bind_side([seed], cstep.obj_slot,
-                                           cstep.object, neighbors,
-                                           access, meter))
-        return out
-
-    # -- projection ------------------------------------------------------------
-    def _project(self, plan: ExecutionPlan, compiled: _CompiledPlan,
-                 rows: List[SlotRow],
-                 meter: LatencyMeter) -> ExecutionResult:
-        query = plan.query
-        if query.is_ask:
-            return ExecutionResult(variables=[],
-                                   rows=[()] if rows else [])
-        if query.aggregates:
-            if self.strings is None:
-                raise PlanError(
-                    "aggregates need a string server; construct the "
-                    "explorer with GraphExplorer(cluster, strings)")
-            from repro.sparql.evaluate import aggregate_rows
-            views = [_RowView(compiled.slots, row) for row in rows]
-            out = aggregate_rows(views, query, self.strings.entity_name,
-                                 meter, self.cost)
-            return ExecutionResult(variables=query.output_columns(),
-                                   rows=_slice(out, query))
-        result = ExecutionResult(
-            variables=[var for var, _ in compiled.project_slots])
-        seen = set()
-        out = result.rows
-        getter = compiled.project_getter
-        if getter is not None:
-            add = seen.add
-            append = out.append
-            for row in rows:
-                projected = getter(row)
-                if projected not in seen:
-                    add(projected)
-                    append(projected)
-        else:
-            slots = [slot for _, slot in compiled.project_slots]
-            for row in rows:
-                projected = tuple(
-                    -1 if slot is None or row[slot] is None else row[slot]
-                    for slot in slots)
-                if projected not in seen:
-                    seen.add(projected)
-                    out.append(projected)
-        meter.charge(self.cost.binding_ns, times=len(result.rows),
-                     category="project")
-        result.rows = _slice(result.rows, query)
         return result
 
 

@@ -19,9 +19,9 @@ never answered silently wrong.
 """
 
 from repro.temporal.engine import TemporalEngine, TemporalRecord
-from repro.temporal.evaluate import interval_op_holds
 from repro.temporal.kernels import (CompiledIntervalPlan,
-                                    evaluate_interval_batch)
+                                    evaluate_interval_batch,
+                                    interval_op_holds)
 from repro.temporal.reference import dump_history, reference_rows
 
 __all__ = [

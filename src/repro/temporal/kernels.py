@@ -1,69 +1,161 @@
-"""Columnar batch kernels for SPARQL-T interval (quintuple) queries.
+"""Columnar kernels for SPARQL-T interval (quintuple) queries.
 
-The row evaluator (:mod:`repro.temporal.evaluate`) pays the per-row
-Python interpretation floor on every binding: a dict copy, a handful of
-key writes, and a ``meter.charge`` call per produced row.  This module
-is the batch twin — the same exploration expressed over parallel column
-lists, with the SN (``?ts``) column threaded through every expansion
-instead of being re-derived per row:
+Quintuple patterns need each matched entry's insertion snapshot next to
+its value.  The kernels evaluate an interval query over parallel column
+lists, threading the SN (``?ts``) column through every expansion.  They
+reuse the planner's selectivity ordering
+(:func:`repro.sparql.planner.plan_steps`): walk the ordered steps, bind
+``?ts`` to the entry's insertion SN and ``?te`` to
+:data:`~repro.sparql.ast.OPEN_END` (the store is append-only, so every
+visible entry is still live), and prune with ordinary and interval
+FILTERs as soon as their variables are bound.
 
-* store reads go through the batch version-carrying entry point
-  :meth:`DistributedStore.neighbors_versions_batch` — one probe per
-  *distinct* start vertex in first-occurrence row order, charges
-  aggregated through a :class:`~repro.sim.cost.ChargeSet`;
+* Store reads go through the version-carrying entry points of
+  :class:`~repro.store.distributed.DistributedStore` — one probe per
+  *distinct* start vertex in first-occurrence row order, charging the
+  live-read costs (hash probe + visible-prefix scan + remote reads).
 * FILTER application is compiled once per plan into a static schedule
   (:class:`CompiledIntervalPlan`): each ordinary and interval FILTER is
   pinned to the first step at which its variables are bound, and the
   compiled selectors (:class:`_CompiledPlainFilter` /
   :class:`_CompiledIntervalFilter`) evaluate each *distinct* operand
-  tuple once per batch, mirroring the one-shot path's
-  ``_CompiledFilter`` verdict memo;
-* binding production charges ``binding_ns`` once per extend with
-  ``times=<rows produced>`` instead of once per row.
+  tuple once per batch.  Each filter application charges ``filter_ns``
+  per row.
+* Each produced binding charges ``binding_ns``, aggregated once per
+  extend with ``times=<rows produced>``.
 
-Equivalence bar: produced rows, their order, the meter total, the
-per-category breakdown, and the state digest must equal the row
-evaluator's exactly.  Simulated time is integer picoseconds, so the
-kernels charge the row path's events in any order or grouping, with
-one code path whatever the cluster size.  One rule remains: an
-aggregated charge with ``times=0`` still creates its breakdown category,
-which the row path would not — every aggregate charge here is guarded
-by a positive count.
+Simulated time is integer picoseconds, so grouping never changes a
+total.  One rule remains: an aggregated charge with ``times=0`` still
+creates its breakdown category, so every aggregate charge here is
+guarded by a positive count.  ``tests/core/test_pinned_charges.py``
+holds rows, charges and traversal counters to a fixture recorded from
+an independent row-at-a-time evaluator, and the temporal differential
+suite checks answers against the brute-force oracle
+(:mod:`repro.temporal.reference`).
 
-Row-order contract: each expansion produces rows in the row evaluator's
-nested-loop order — anchor probes are shared (row-major, entry-minor),
-bound-start expansions gather per row, and ``INDEX_START`` concatenates
-per-subject parts (subject-major, then row, then entry).
+Row order: each expansion produces rows in nested-loop order — anchor
+probes are shared (row-major, entry-minor), bound-start expansions
+gather per row, and ``INDEX_START`` concatenates per-subject parts
+(subject-major, then row, then entry).
+
+Compaction note: bounded scalarization relabels SNs at or below the GC
+frontier to the base snapshot, coarsening ``?ts`` for pre-frontier
+entries.  Queries whose interval conditions need exact pre-frontier
+history must run with scalarization disabled (or a larger
+``keep_snapshots``); the snapshot pin taken by the engine guarantees
+the frontier cannot move past the read snapshot *mid-query*.
 """
 
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import PlanError
 from repro.rdf.ids import DIR_IN, DIR_OUT
 from repro.sim.cost import LatencyMeter
 from repro.sparql.ast import (FilterExpr, IntervalFilter, OPEN_END, Query,
                               is_variable)
+from repro.sparql.evaluate import term_number
 from repro.sparql.planner import (BOUND_OBJECT, BOUND_SUBJECT, CONST_OBJECT,
                                   CONST_SUBJECT, PlannedStep)
-from repro.temporal.evaluate import (IntervalCounters, _plain_filter_matches,
-                                     interval_op_holds)
 
 #: Column store: graph variables map to vid columns, interval endpoint
 #: variables map to snapshot-number columns; all columns share length.
 Columns = Dict[str, List[int]]
 
 
+def interval_op_holds(op: str, s1: int, e1: int, s2: int, e2: int) -> bool:
+    """Whether ``[s1, e1) op [s2, e2)`` holds (half-open semantics).
+
+    ``OVERLAPS``: the intervals share at least one snapshot.
+    ``DURING``: the left interval is contained in the right.
+    ``BEFORE`` / ``AFTER``: the left ends at-or-before the right starts /
+    starts at-or-after the right ends.  ``STARTS``: equal lower endpoints.
+    """
+    if op == "OVERLAPS":
+        return s1 < e2 and s2 < e1
+    if op == "DURING":
+        return s1 >= s2 and e1 <= e2
+    if op == "BEFORE":
+        return e1 <= s2
+    if op == "AFTER":
+        return s1 >= e2
+    if op == "STARTS":
+        return s1 == s2
+    raise PlanError(f"unsupported interval operator: {op}")
+
+
+def _plain_filter_matches(expr: FilterExpr, row: Dict[str, int],
+                          interval_vars: Set[str],
+                          name_of: Callable[[int], str],
+                          resolve: Callable[[str], Optional[int]]) -> bool:
+    """Ordinary FILTER semantics extended to interval variables.
+
+    An interval variable's binding *is* its numeric value (a snapshot
+    number), where a graph variable's binding is a vid whose entity name
+    may parse as a number — same comparison rules as
+    :func:`repro.sparql.evaluate.filter_matches` otherwise.
+    """
+    def operand(term: str) -> Tuple[Optional[int], Optional[str]]:
+        if is_variable(term):
+            value = row.get(term)
+            if value is None:
+                raise PlanError(f"filter variable never bound: {term}")
+            if term in interval_vars:
+                return None, str(value)
+            return value, name_of(value)
+        return resolve(term), term
+
+    left_vid, left_name = operand(expr.left)
+    right_vid, right_name = operand(expr.right)
+    if expr.op == "=":
+        if left_vid is not None and right_vid is not None:
+            return left_vid == right_vid
+        return left_name == right_name
+    if expr.op == "!=":
+        if left_vid is not None and right_vid is not None:
+            return left_vid != right_vid
+        return left_name != right_name
+    left_num = term_number(left_name) if left_name is not None else None
+    right_num = term_number(right_name) if right_name is not None else None
+    if left_num is None or right_num is None:
+        return False  # SPARQL: type errors eliminate the row
+    if expr.op == "<":
+        return left_num < right_num
+    if expr.op == "<=":
+        return left_num <= right_num
+    if expr.op == ">":
+        return left_num > right_num
+    return left_num >= right_num
+
+
+class IntervalCounters:
+    """Version-chain traversal statistics of one temporal execution."""
+
+    __slots__ = ("snapshot_reads", "version_entries", "max_chain_depth")
+
+    def __init__(self) -> None:
+        #: Version-carrying store probes issued (one per key read).
+        self.snapshot_reads = 0
+        #: Total version-chain entries traversed across all probes.
+        self.version_entries = 0
+        #: Longest single version chain traversed.
+        self.max_chain_depth = 0
+
+    def record(self, entries: int) -> None:
+        self.snapshot_reads += 1
+        self.version_entries += entries
+        if entries > self.max_chain_depth:
+            self.max_chain_depth = entries
+
+
 class _CompiledPlainFilter:
     """One ordinary FILTER compiled into a column selector.
 
-    Evaluation is delegated to the row path's
-    :func:`~repro.temporal.evaluate._plain_filter_matches` on a minimal
-    one-row dict, memoized per distinct operand-value pair — semantics
-    (including the unbound-variable :class:`PlanError`) stay shared with
-    the control by construction.
+    Evaluation runs :func:`_plain_filter_matches` on a minimal one-row
+    dict, memoized per distinct operand-value pair (including the
+    unbound-variable :class:`PlanError`).
     """
 
     __slots__ = ("expr",)
@@ -74,9 +166,8 @@ class _CompiledPlainFilter:
     def select(self, cols: Columns, indices, interval_vars, name_of,
                resolve) -> List[int]:
         if not indices:
-            # Mirror the row path's short-circuit: a filter whose
-            # predecessors emptied the batch is never evaluated, so an
-            # unbound variable in it must not raise here either.
+            # A filter whose predecessors emptied the batch is never
+            # evaluated, so an unbound variable in it must not raise.
             return list(indices)
         expr = self.expr
         lterm, rterm = expr.left, expr.right
@@ -119,8 +210,8 @@ class _CompiledIntervalFilter:
 
     def __init__(self, ifilter: IntervalFilter):
         self.ifilter = ifilter
-        # Row-path _endpoint() order: left_ts, left_te, right_ts,
-        # right_te — preserved so unbound-variable errors match.
+        # Endpoint order: left_ts, left_te, right_ts, right_te (the
+        # first unbound variable in this order is the one reported).
         self.endpoints: List[Tuple[Optional[str], Optional[int]]] = [
             (term, None) if is_variable(term) else (None, int(term))
             for term in (ifilter.left_ts, ifilter.left_te,
@@ -161,13 +252,11 @@ class _CompiledIntervalFilter:
 class CompiledIntervalPlan:
     """An interval query's steps plus its static FILTER schedule.
 
-    The row evaluator decides filter readiness dynamically (``prune``
-    after every step); readiness depends only on which pattern
-    variables each executed step binds, so the schedule is a pure
-    function of ``(query, steps)`` and compiles once.  Filters whose
-    variables are never bound by any step and lie outside
-    ``query.variables()`` are dropped without evaluation — exactly the
-    row path's silent leftover behaviour.
+    Filter readiness depends only on which pattern variables each
+    executed step binds, so the schedule is a pure function of
+    ``(query, steps)`` and compiles once.  Filters whose variables are
+    never bound by any step and lie outside ``query.variables()`` are
+    dropped without evaluation.
     """
 
     __slots__ = ("steps", "plain_at", "interval_at", "leftover_plain",
@@ -213,9 +302,8 @@ def _extend_shared(cols: Columns, nrows: int, anchor_var: Optional[str],
     Covers ``CONST_SUBJECT``/``CONST_OBJECT`` (anchor is the constant,
     ``anchor_var`` is None) and one ``INDEX_START`` subject part
     (``anchor_var`` is the subject variable).  Binding targets are
-    written in the row evaluator's assignment order — anchor, unbound
-    other, ``?ts``, ``?te`` — with later writes winning on variable
-    name collisions, exactly like its per-row dict assignments.
+    written in assignment order — anchor, unbound other, ``?ts``,
+    ``?te`` — with later writes winning on variable name collisions.
     """
     if is_variable(other_term):
         const_other = None
@@ -322,8 +410,7 @@ def _extend_bound(cols: Columns, nrows: int, start_term: str,
     """Extend the batch through a bound-start expansion step.
 
     One batched probe per distinct start vertex in first-occurrence
-    row order — the same probes as the row evaluator's per-step probe
-    cache — and one aggregated binding charge.
+    row order and one aggregated binding charge.
     """
     starts = cols[start_term]
     fetched = store.neighbors_versions_batch(
@@ -336,9 +423,8 @@ def _extend_bound(cols: Columns, nrows: int, start_term: str,
         const_other = None
         other_col = cols.get(other_term)
     else:
-        # Resolved after the probes on purpose: the row path issues its
-        # cached probes before extend() discovers the constant is
-        # unknown, so the probe charges land either way.
+        # Resolved after the probes on purpose: the probes are charged
+        # even when the constant turns out to be unknown.
         const_other = resolve(other_term)
         if const_other is None:
             return {}, 0
@@ -447,10 +533,9 @@ def _extend_index(cols: Columns, nrows: int, pattern, eid: int, store,
 
     Index vertices are deduplicated per shard and each vertex is owned
     by exactly one shard, so the gathered subjects are globally unique
-    — the batch probe's distinct-vid dedup therefore issues exactly the
-    row path's one probe per subject.  All subjects probe in one batch
-    call up front.  Parts concatenate subject-major (then row, then
-    entry), matching the row evaluator's loop nesting.
+    — the batch probe's distinct-vid dedup therefore issues exactly one
+    probe per subject.  All subjects probe in one batch call up front.
+    Parts concatenate subject-major (then row, then entry).
     """
     subjects = store.gather_index(home_node, eid, DIR_OUT, meter,
                                   category="store")
@@ -488,8 +573,8 @@ def _extend_index(cols: Columns, nrows: int, pattern, eid: int, store,
         total = len(subj_col)
         if total == 0:
             return {}, 0
-        # Row-path assignment order, later writes winning on variable
-        # name collisions (subject, unbound object, ?ts, ?te).
+        # Assignment order, later writes winning on variable name
+        # collisions (subject, unbound object, ?ts, ?te).
         targets: Columns = {pattern.subject: subj_col}
         if const_other is None:
             targets[pattern.object] = obj_col
@@ -524,13 +609,11 @@ def evaluate_interval_batch(query: Query, plan: CompiledIntervalPlan,
                             meter: LatencyMeter,
                             counters: Optional[IntervalCounters] = None
                             ) -> Tuple[List[str], List[Tuple[int, ...]]]:
-    """Run an interval query on the columnar batch path.
+    """Run an interval (quintuple) query at a pinned ``snapshot``.
 
-    Drop-in twin of
-    :func:`repro.temporal.evaluate.evaluate_interval_query`: same
-    ``(variables, rows)`` result in the same order, same simulated
-    charges (total and per-category breakdown), same traversal
-    counters — proven by the batch-vs-row differential suite.
+    Returns ``(variables, rows)`` ready for an ``ExecutionResult``:
+    the projected columns, graph variables as vids and interval
+    variables as snapshot numbers.
     """
     strings = store.strings
     cost = store.cluster.cost
@@ -549,8 +632,8 @@ def evaluate_interval_batch(query: Query, plan: CompiledIntervalPlan,
         nonlocal cols, nrows
         count = len(plain) + len(interval)
         if count == 0 or nrows == 0:
-            # Guarded so a times=0 charge cannot create a breakdown
-            # category the row path never touched.
+            # Guarded so a times=0 charge cannot create an empty
+            # breakdown category.
             return
         meter.charge(filter_ns, times=nrows * count, category="filter")
         indices = range(nrows)
@@ -569,7 +652,7 @@ def evaluate_interval_batch(query: Query, plan: CompiledIntervalPlan,
         eid = strings.lookup_predicate(pattern.predicate)
         if eid is None:
             # Unknown predicate empties the batch before this step's
-            # filters — the row path breaks before its prune() too.
+            # filters run.
             nrows = 0
             break
         if step.kind == CONST_SUBJECT:

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.rdf.ids import DIR_OUT, split_key
 from repro.sparql.ast import OPEN_END, Query, is_variable
 from repro.sparql.evaluate import term_number
-from repro.temporal.evaluate import interval_op_holds
+from repro.temporal.kernels import interval_op_holds
 
 #: One recorded fact: ``(subject, predicate, object, insertion_sn)``,
 #: all names decoded.

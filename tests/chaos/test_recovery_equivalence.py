@@ -25,13 +25,14 @@ pytestmark = pytest.mark.chaos
 SEEDS = list(range(28))
 
 
-def _check(plan: FaultPlan) -> None:
-    report = run_equivalence(build_engine, plan, TICKS)
+def _check(plan: FaultPlan, build=build_engine):
+    report = run_equivalence(build, plan, TICKS)
     assert report.equivalent, \
         f"{report.summary()}\n  " + "\n  ".join(report.mismatches[:10])
     # The plan must actually have fired (a vacuous pass proves nothing).
     assert report.first_fault_ms is not None, report.summary()
     assert report.events, report.summary()
+    return report
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -63,6 +64,27 @@ def test_kill_during_checkpoint_tick():
     plan = FaultPlan([KillNode(at_tick=20, node_id=1, down_ticks=4)],
                      name="kill-on-grid")
     _check(plan)
+
+
+def test_kill_during_close():
+    """Kill node 1 at tick 26 for 4 ticks: with 100 ms batches and STEP
+    100 windows, closes fire every tick, so the crash lands mid-schedule
+    and forces catch-up closes — and columnar window-view resets — after
+    the heal."""
+    engines = []
+
+    def build():
+        engines.append(build_engine())
+        return engines[-1]
+
+    plan = FaultPlan([KillNode(at_tick=26, node_id=1, down_ticks=4)],
+                     name="kill-during-close")
+    report = _check(plan, build)
+    assert report.gaps, "fault plan no longer disturbs any window close"
+    # The faulted run's window views really slid incrementally.
+    views = [view for handle in engines[1].continuous.queries.values()
+             for view in handle.window_views.values()]
+    assert any(view.delta_hits > 0 for view in views)
 
 
 def test_corrupt_then_kill_rebuilds_from_upstream():

@@ -29,7 +29,8 @@ NUM_SUBSCRIPTIONS = 1_002
 NUM_TENANTS = 6
 
 #: Kill node 1 at tick 26 for 4 ticks (mid window-close schedule, inside
-#: checkpoint window 3), as in the columnar differential suite.
+#: checkpoint window 3), as in the recovery-equivalence suite's
+#: kill-during-close case.
 KILL_TICK, DOWN_TICKS = 26, 4
 #: Meters of closes inside the opaque interval — first fault to the
 #: checkpoint boundary after the heal — legitimately differ (catch-up

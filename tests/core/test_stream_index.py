@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.stream_index import IndexSlice, StreamIndex, \
-    StreamIndexRegistry
+from repro.core.stream_index import ColumnarSlice, IndexSlice, \
+    StreamIndex, StreamIndexRegistry
 from repro.errors import StoreError, StreamError
 from repro.rdf.ids import DIR_OUT, make_key
 from repro.sim.cost import LatencyMeter
@@ -11,6 +11,21 @@ from repro.store.kvstore import ValueSpan
 
 KEY = make_key(7, 3, DIR_OUT)
 OTHER = make_key(8, 3, DIR_OUT)
+
+
+class _SpanShard:
+    def lookup_span(self, span, meter=None, category="store"):
+        return list(range(span.offset, span.offset + span.length))
+
+
+class _SpanStore:
+    """Stands in for the persistent store behind a window view: each
+    span reads back its own offsets."""
+    shards = [_SpanShard(), _SpanShard()]
+
+
+def window(index, first, last):
+    return ColumnarSlice(index, _SpanStore()).advance(first, last)
 
 
 def make_slice(batch_no, spans):
@@ -57,15 +72,16 @@ class TestStreamIndex:
 
     def test_lookup_spans_by_batch_range(self):
         index = self.build()
-        spans = index.lookup_spans(KEY, 2, 3)
-        assert [s for _, s in spans] == [ValueSpan(KEY, 3, 2),
-                                         ValueSpan(KEY, 5, 1)]
-        assert index.lookup_spans(KEY, 4, 9) == []
+        # Batches 2 and 3 hold contiguous spans of KEY: one merged span.
+        column = window(index, 2, 3).key_column(KEY)
+        assert column.merged == [(0, ValueSpan(KEY, 3, 3))]
+        assert column.values == [3, 4, 5]
+        assert window(index, 4, 9).key_column(KEY) is None
 
     def test_vertices_by_batch_range(self):
         index = self.build()
-        assert index.vertices(3, DIR_OUT, 1, 1) == [7]
-        assert set(index.vertices(3, DIR_OUT, 1, 3)) == {7, 8}
+        assert window(index, 1, 1).vertices(3, DIR_OUT)[0] == [7]
+        assert set(window(index, 1, 3).vertices(3, DIR_OUT)[0]) == {7, 8}
 
     def test_append_out_of_order_rejected(self):
         index = self.build()
@@ -77,7 +93,7 @@ class TestStreamIndex:
         assert index.collect(3) == 2
         assert index.num_slices == 1
         assert index.earliest_batch == 3
-        assert index.lookup_spans(KEY, 1, 3) == [(0, ValueSpan(KEY, 5, 1))]
+        assert [piece.batch_no for piece in index.slices_in(1, 3)] == [3]
 
     def test_memory_accounting(self):
         index = self.build()

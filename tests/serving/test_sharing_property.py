@@ -14,9 +14,8 @@ subscription backed by its own private registration:
   excluded, since N private queries vs the deduped shared set is exactly
   the difference sharing is *supposed* to make.
 
-Same differential shape as ``tests/chaos/test_columnar_differential.py``:
-sharing, like the columnar kernels, must be a pure evaluation-cost
-optimization with no observable effect.
+Sharing must be a pure evaluation-cost optimization with no observable
+effect.
 """
 
 import pytest

@@ -1,14 +1,16 @@
-"""Differential row-vs-batch tests for the distributed execution modes.
+"""The explorer's execution modes against an independent evaluator.
 
-The columnar batch kernels are a wall-clock optimization only: with
-``use_batch`` on or off, an execution must produce the same rows *in the
-same order*, charge the same simulated nanoseconds (bit for bit), and
-leave the same per-category breakdown — in every mode, fork-join and
-migrate included, and with FILTER schedules, UNION arms and OPTIONAL
-groups in the plan.  These tests run each query through two explorers
-that differ only in ``use_batch`` and compare everything.
+Every mode — in-place, fork-join and migrate, on RDMA and TCP fabrics —
+must return the answers of the CSPARQL baseline (an Esper+Jena
+nested-loop evaluator that shares no code with the explorer) for
+index-start, constant-start, FILTER, UNION, OPTIONAL and cross-product
+plans.  Exact row order and picosecond charges are pinned separately by
+``tests/core/test_pinned_charges.py``.
 """
 
+from core.pinned_charges import (CONST_QUERIES, CROSS_QUERIES,
+                                 GROUP_QUERIES, INDEX_QUERIES, XLAB)
+from repro.baselines.csparql_engine import CSparqlEngine
 from repro.core.engine import EngineConfig, WukongSEngine
 from repro.core.stats import collect_stats
 from repro.rdf.parser import parse_timed_tuples, parse_triples
@@ -20,46 +22,9 @@ from repro.sparql.planner import plan_query
 from repro.store.distributed import DistributedStore, PersistentAccess
 from repro.store.executor import GraphExplorer
 from repro.streams.source import StreamSource
-from repro.streams.stream import StreamSchema
+from repro.streams.stream import StreamSchema, batch_tuples
 
-XLAB = """
-Logan ty XMen .
-Erik ty XMen .
-Logan fo Erik .
-Erik fo Logan .
-Logan po T-13 .
-Logan po T-14 .
-Erik po T-12 .
-T-13 ht sosp17 .
-T-12 ht sosp17 .
-Logan li T-12 .
-Erik li T-13 .
-Erik li T-14 .
-T-12 sc 2 .
-T-13 sc 5 .
-T-14 sc 9 .
-"""
-
-#: Index-start plans (exercise fork-join) and constant-start plans
-#: (exercise migrate), with and without FILTER schedules.
-INDEX_QUERIES = [
-    "SELECT ?U ?P WHERE { ?U po ?P }",
-    "SELECT ?U ?P ?T WHERE { ?U po ?P . ?P ht ?T }",
-    "SELECT ?P ?S WHERE { ?U po ?P . ?P sc ?S . FILTER (?S > 2) }",
-    "SELECT ?U ?P WHERE { ?U po ?P . FILTER (?U != Erik) }",
-]
-CONST_QUERIES = [
-    "SELECT ?X WHERE { Logan po ?X . ?X ht sosp17 . Erik li ?X }",
-    "SELECT ?F ?P WHERE { Logan fo ?F . ?F po ?P }",
-    "SELECT ?X ?S WHERE { Logan po ?X . ?X sc ?S . FILTER (?S < 9) }",
-]
-#: Plans that force the row fallback past the exploration stage — the
-#: distributed exploration still runs columnar, then converts.
-FALLBACK_QUERIES = [
-    "SELECT ?P WHERE { { Logan po ?P } UNION { Erik po ?P } }",
-    "SELECT ?P ?T WHERE { Logan po ?P . OPTIONAL { ?P ht ?T } }",
-    "SELECT ?U ?P ?T WHERE { ?U po ?P . OPTIONAL { ?P ht ?T } }",
-]
+DUPLICATES = "Logan po T-13 .\nErik fo Logan ."
 
 
 def build(num_nodes=3, use_rdma=True):
@@ -77,84 +42,90 @@ def factory_for(store):
     return factory
 
 
-def run(cluster, strings, store, text, mode, use_batch):
-    explorer = GraphExplorer(cluster, strings, use_batch=use_batch)
+def run(cluster, strings, store, text, mode):
+    explorer = GraphExplorer(cluster, strings)
     meter = LatencyMeter()
     result = explorer.execute(plan_query(parse_query(text)),
                               factory_for(store), meter, mode=mode)
     return result, meter, explorer
 
 
-def assert_identical(cluster, strings, store, text, mode):
-    batch_result, batch_meter, batch_explorer = run(
-        cluster, strings, store, text, mode, use_batch=True)
-    row_result, row_meter, row_explorer = run(
-        cluster, strings, store, text, mode, use_batch=False)
-    assert batch_result.rows == row_result.rows, text  # exact order too
-    assert batch_result.variables == row_result.variables, text
-    assert batch_meter.ns == row_meter.ns, text  # bit-identical
-    assert batch_meter.breakdown_ms == row_meter.breakdown_ms, text
-    # Pure-UNION plans have no steps, so no step kernel (of either kind)
-    # runs; everything else must take exactly the configured path.
-    if batch_explorer.batch_executions + batch_explorer.row_executions:
-        assert (batch_explorer.batch_executions,
-                batch_explorer.row_executions) == (1, 0), text
-        assert (row_explorer.row_executions,
-                row_explorer.batch_executions) == (1, 0), text
+def names(strings, rows):
+    """Rows as entity names (None for an unbound OPTIONAL variable)."""
+    return sorted(tuple(strings.entity_name(vid) if vid >= 0 else None
+                        for vid in row) for row in rows)
+
+
+def baseline_rows(text, extra=""):
+    """The CSPARQL baseline's answer.  Its one-shot entry point skips
+    FILTER/UNION/OPTIONAL, so the query runs through the continuous
+    path, which evaluates stored-only queries in full."""
+    baseline = CSparqlEngine()
+    baseline.load_static(parse_triples(XLAB + extra))
+    rows, _ = baseline.execute_continuous(parse_query(text), 0)
+    return names(baseline.strings, rows)
+
+
+def assert_matches_baseline(cluster, strings, store, text, mode,
+                            extra=""):
+    result, _, _ = run(cluster, strings, store, text, mode)
+    assert len(result.rows) == len(set(result.rows)), text
+    assert names(strings, result.rows) == baseline_rows(text, extra), \
+        (text, mode)
 
 
 def test_fork_join_differential():
     cluster, strings, store = build()
-    for text in INDEX_QUERIES + FALLBACK_QUERIES[2:]:
-        assert_identical(cluster, strings, store, text, "fork_join")
+    for text in INDEX_QUERIES + GROUP_QUERIES[2:] + CROSS_QUERIES:
+        assert_matches_baseline(cluster, strings, store, text, "fork_join")
 
 
 def test_migrate_differential():
     cluster, strings, store = build()
-    for text in INDEX_QUERIES + CONST_QUERIES + FALLBACK_QUERIES:
-        assert_identical(cluster, strings, store, text, "migrate")
+    for text in INDEX_QUERIES + CONST_QUERIES + GROUP_QUERIES \
+            + CROSS_QUERIES:
+        assert_matches_baseline(cluster, strings, store, text, "migrate")
 
 
 def test_migrate_differential_without_rdma():
     """TCP fabric: migrate is the auto mode and messages replace reads."""
     cluster, strings, store = build(use_rdma=False)
-    for text in INDEX_QUERIES + CONST_QUERIES:
-        assert_identical(cluster, strings, store, text, "migrate")
+    for text in INDEX_QUERIES + CONST_QUERIES + CROSS_QUERIES:
+        assert_matches_baseline(cluster, strings, store, text, "migrate")
+        assert_matches_baseline(cluster, strings, store, text, "auto")
 
 
 def test_union_optional_fallback_differential():
-    cluster, strings, store = build()
-    for text in FALLBACK_QUERIES:
-        assert_identical(cluster, strings, store, text, "in_place")
+    """UNION arms and OPTIONAL groups, which run row by row at the home
+    node after the step phase, on one and three nodes."""
+    for num_nodes in (1, 3):
+        cluster, strings, store = build(num_nodes=num_nodes)
+        for text in GROUP_QUERIES + CROSS_QUERIES:
+            assert_matches_baseline(cluster, strings, store, text,
+                                    "in_place")
 
 
 def test_duplicate_edges_differential():
     """Re-inserting an edge at a later snapshot duplicates it in the
-    adjacency list; the batch path must detect this (its distinct-rows
-    proof fails) and still dedup projected rows exactly like the row
-    path's seen-set."""
+    adjacency list; the distinct-rows proof must fail and the projection
+    must still deduplicate."""
     cluster, strings, store = build()
-    for text in parse_triples("Logan po T-13 .\nErik fo Logan ."):
-        store.insert_encoded(strings.encode_triple(text), sn=1)
-    for text in INDEX_QUERIES:
-        assert_identical(cluster, strings, store, text, "fork_join")
-    for text in INDEX_QUERIES + CONST_QUERIES:
-        assert_identical(cluster, strings, store, text, "migrate")
-    result, _, _ = run(cluster, strings, store, INDEX_QUERIES[0],
-                       "fork_join", use_batch=True)
-    assert len(result.rows) == len(set(result.rows))
+    for triple in parse_triples(DUPLICATES):
+        store.insert_encoded(strings.encode_triple(triple), sn=1)
+    for mode in ("fork_join", "migrate"):
+        for text in INDEX_QUERIES + CONST_QUERIES:
+            assert_matches_baseline(cluster, strings, store, text, mode,
+                                    extra=DUPLICATES)
 
 
 def test_filter_oneshot_takes_batch_path():
-    """FILTER schedules no longer force the row kernels: a FILTER-bearing
-    one-shot runs columnar end to end (the acceptance counter)."""
+    """A FILTER-bearing plan runs its step phase columnar end to end."""
     cluster, strings, store = build()
     text = "SELECT ?P ?S WHERE { ?U po ?P . ?P sc ?S . FILTER (?S > 2) }"
-    result, _, explorer = run(cluster, strings, store, text, "fork_join",
-                              use_batch=True)
+    result, _, explorer = run(cluster, strings, store, text, "fork_join")
     assert len(result.rows) == 2  # T-13 (5) and T-14 (9)
+    assert names(strings, result.rows) == baseline_rows(text)
     assert explorer.batch_executions == 1
-    assert explorer.row_executions == 0
 
 
 TWEETS = """
@@ -176,12 +147,13 @@ WHERE {
 }
 """
 
+ONESHOT = "SELECT ?X WHERE { Logan po ?X . ?X ht sosp17 }"
 
-def build_engine(columnar_batch):
+
+def build_engine():
     engine = WukongSEngine(
         schemas=[StreamSchema("Tweet_Stream")],
-        config=EngineConfig(num_nodes=2, batch_interval_ms=1000,
-                            columnar_batch=columnar_batch))
+        config=EngineConfig(num_nodes=2, batch_interval_ms=1000))
     engine.load_static(parse_triples(XLAB))
     source = StreamSource(engine.schemas["Tweet_Stream"])
     source.queue_tuples(parse_timed_tuples(TWEETS), 0, 1000)
@@ -189,29 +161,39 @@ def build_engine(columnar_batch):
     return engine
 
 
-def test_engine_differential_row_vs_batch():
-    """Whole-engine equivalence: injection records, continuous window
-    results and one-shot latencies are identical either way."""
-    results = {}
-    for columnar_batch in (True, False):
-        engine = build_engine(columnar_batch)
-        engine.register_continuous(QC)
-        engine.run_until(10_000)
-        record = engine.oneshot(
-            "SELECT ?X WHERE { Logan po ?X . ?X ht sosp17 }")
-        handle = engine.continuous.queries["QC"]
-        results[columnar_batch] = {
-            "injection": [(r.num_tuples, r.total_ms)
-                          for r in engine.injection_records],
-            "windows": [(r.close_ms, r.meter.ns, sorted(r.result.rows))
-                        for r in handle.executions],
-            "oneshot": (record.meter.ns, sorted(record.result.rows)),
-        }
-    assert results[True] == results[False]
+def test_engine_matches_baseline():
+    """Whole-engine answers: every continuous window close (stream
+    window + stored data through the columnar window views) equals the
+    baseline's at the same close, and a one-shot after the run (over
+    static data plus the absorbed stream) equals the baseline's over
+    the same triples."""
+    engine = build_engine()
+    engine.register_continuous(QC)
+    engine.run_until(10_000)
+    record = engine.oneshot(ONESHOT)
+    baseline = CSparqlEngine()
+    baseline.load_static(parse_triples(XLAB))
+    for batch in batch_tuples("Tweet_Stream", parse_timed_tuples(TWEETS),
+                              0, 1000):
+        baseline.ingest(batch)
+    executions = engine.continuous.queries["QC"].executions
+    assert executions
+    for execution in executions:
+        rows, _ = baseline.execute_continuous(parse_query(QC),
+                                              execution.close_ms)
+        assert names(engine.strings, execution.result.rows) == \
+            names(baseline.strings, rows), execution.close_ms
+    assert any(execution.result.rows for execution in executions)
+    absorbed = CSparqlEngine()
+    absorbed.load_static(parse_triples(XLAB) + [
+        timed.triple for timed in parse_timed_tuples(TWEETS)])
+    rows, _ = absorbed.execute_oneshot(parse_query(ONESHOT))
+    assert names(engine.strings, record.result.rows) == \
+        names(absorbed.strings, rows)
 
 
 def test_engine_counters_report_batch_path():
-    engine = build_engine(columnar_batch=True)
+    engine = build_engine()
     engine.run_until(2_000)
     engine.oneshot(
         "SELECT ?X ?S WHERE { Logan po ?X . ?X sc ?S . FILTER (?S > 2) }")

@@ -16,7 +16,7 @@ from repro.rdf.terms import TimedTuple, Triple
 from repro.sparql.ast import OPEN_END
 from repro.streams.source import StreamSource
 from repro.streams.stream import StreamSchema
-from repro.temporal.evaluate import interval_op_holds
+from repro.temporal.kernels import interval_op_holds
 from repro.temporal.reference import (decode_result, dump_history,
                                       reference_rows)
 
@@ -164,12 +164,9 @@ def _build_engine():
     return engine
 
 
-@pytest.mark.parametrize("use_batch", [True, False],
-                         ids=["batch", "row_path"])
 @pytest.mark.parametrize("query", BOUNDARY_QUERIES)
-def test_boundary_filters_match_oracle(query, use_batch):
+def test_boundary_filters_match_oracle(query):
     engine = _build_engine()
-    engine.temporal.use_batch = use_batch
     record = engine.oneshot(query)
     from repro.sparql.parser import parse_query
     ast = parse_query(query)
