@@ -497,9 +497,9 @@ def run_temporal(duration_ms: int, rounds: int = 8):
                                             for r in records) / 1e6, 3),
         },
         "plan_cache": {
-            "hits": temporal.plan_cache_hits,
-            "misses": temporal.plan_cache_misses,
-            "evictions": temporal.plan_cache_evictions,
+            "hits": temporal.plan_cache.hits,
+            "misses": temporal.plan_cache.misses,
+            "evictions": temporal.plan_cache.evictions,
         },
     }
     return elapsed, None, {

@@ -20,6 +20,10 @@
 # critical paths summing bit-identically to the recorded meter latency);
 # see scripts/check_trace.py.
 #
+# The dead-code stage fails when a function or method defined in
+# src/repro is never referenced by name anywhere in the repository's
+# Python code (see scripts/check_dead_code.py).
+#
 # The bench-smoke stage runs the wall-clock benchmark in --quick mode
 # (shorter scenarios, fewer repeats) to a scratch file and fails if any
 # scenario retains less than its floor (0.6x of the speedup_vs_seed
@@ -60,6 +64,9 @@ PYTHONPATH=src python scripts/check_trace.py
 
 echo "== ablation report (per-phase attribution smoke) =="
 PYTHONPATH=src python scripts/report_ablation.py --check --duration-ms 1000
+
+echo "== dead code (every src/repro function referenced by name) =="
+python scripts/check_dead_code.py
 
 echo "== bench smoke (quick run vs committed BENCH_wallclock.json) =="
 PYTHONPATH=src python benchmarks/bench_wallclock.py --quick \

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.access import WindowAccess
+from repro.core.cache import BoundedLRU
 from repro.core.coordinator import Coordinator
 from repro.core.stream_index import ColumnarSlice, StreamIndexRegistry
 from repro.core.transient import TransientStore
@@ -128,14 +129,12 @@ class ContinuousEngine:
         self.explorer = GraphExplorer(cluster, self.strings)
         self.queries: Dict[str, RegisteredQuery] = {}
         self._next_home = 0
-        #: ``(normalized AST key, ordering) -> ExecutionPlan``, bounded
-        #: FIFO.  The ordering is part of the key, so a re-plan can never
-        #: serve a stale compiled executor: a new ordering is a new plan
-        #: object, and the executor's compiled form is cached *on* the
-        #: plan (``plan._compiled``), invalidating both together.
-        self._plan_cache: Dict[tuple, ExecutionPlan] = {}
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
+        #: ``(normalized AST key, ordering) -> ExecutionPlan``.  The
+        #: ordering is part of the key, so a re-plan can never serve a
+        #: stale compiled executor: a new ordering is a new plan object,
+        #: and the executor's compiled form is cached *on* the plan
+        #: (``plan._compiled``), invalidating both together.
+        self.plan_cache: BoundedLRU[ExecutionPlan] = BoundedLRU(128)
         #: Observability hooks (attached by ``engine.enable_observability``).
         self.tracer = None
         self.metrics = None
@@ -224,9 +223,6 @@ class ContinuousEngine:
         vid = self.strings.lookup_entity(term)
         return None if vid is None else self.cluster.owner_of(vid)
 
-    #: Bounded continuous plan-cache size (FIFO, like the one-shot cache).
-    PLAN_CACHE_CAPACITY = 128
-
     def _plan_for(self, query: Query, order: Tuple[int, ...]
                   ) -> ExecutionPlan:
         """The execution plan of ``query`` under ``order``, cached.
@@ -238,16 +234,10 @@ class ContinuousEngine:
         new step sequence, never a stale one.
         """
         key = (query.cache_key(), order)
-        plan = self._plan_cache.get(key)
-        if plan is not None:
-            self.plan_cache_hits += 1
-            return plan
-        self.plan_cache_misses += 1
-        plan = plan_query(query, fixed_order=order)
-        cache = self._plan_cache
-        if len(cache) >= self.PLAN_CACHE_CAPACITY:
-            del cache[next(iter(cache))]
-        cache[key] = plan
+        plan = self.plan_cache.get(key)
+        if plan is None:
+            plan = plan_query(query, fixed_order=order)
+            self.plan_cache.put(key, plan)
         return plan
 
     def swap_plan(self, registered: RegisteredQuery,

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.adaptor import AdaptedBatch, Adaptor
+from repro.core.cache import BoundedLRU
 from repro.core.continuous import (ContinuousEngine, ExecutionRecord,
                                    RegisteredQuery)
 from repro.core.coordinator import Coordinator
@@ -63,15 +64,6 @@ class EngineConfig:
     tracing: bool = False
     #: Record every n-th activity of each kind when tracing is on.
     trace_sample_every: int = 1
-    #: Per-shard adjacency-segment cache size and eviction policy
-    #: ("fifo" or "lru"); see ``repro.store.kvstore.ShardStore``.
-    adjacency_cache_capacity: int = 1 << 16
-    adjacency_cache_policy: str = "fifo"
-    #: Entries-weighted eviction: interpret the capacity as a budget of
-    #: cached neighbour entries (weight 1 + len(list)) instead of an
-    #: entry count, so one hot high-degree vertex cannot evict a page of
-    #: cheap segments for free.
-    adjacency_cache_weighted: bool = False
     #: Adaptive re-planning of registered continuous queries from live
     #: predicate statistics (``repro.core.replan.PlanMonitor``).  Off by
     #: default: a plan swap deliberately changes which simulated work
@@ -84,14 +76,6 @@ class EngineConfig:
     replan_check_closes: int = 8
     replan_hysteresis: float = 1.5
     replan_cooldown_closes: int = 24
-    #: Adaptive adjacency-cache sizing from hit/eviction telemetry
-    #: (``repro.core.replan.AdjacencyBudget``): grows the per-shard
-    #: capacity when the working set thrashes, shrinks it when idle.
-    #: ``adjacency_cache_capacity`` above becomes the starting point
-    #: rather than a fixed budget.  Wall-clock-only.
-    adjacency_cache_adaptive: bool = False
-    adjacency_cache_min: int = 1 << 10
-    adjacency_cache_max: int = 1 << 20
     cost: CostModel = field(default_factory=CostModel)
     memory: MemoryModel = field(default_factory=MemoryModel)
 
@@ -132,11 +116,7 @@ class WukongSEngine:
         self.strings = StringServer()
         # Imported here at runtime to avoid a cycle in module docs only.
         from repro.store.distributed import DistributedStore
-        self.store = DistributedStore(
-            self.cluster, self.strings,
-            adjacency_capacity=cfg.adjacency_cache_capacity,
-            adjacency_policy=cfg.adjacency_cache_policy,
-            adjacency_weighted=cfg.adjacency_cache_weighted)
+        self.store = DistributedStore(self.cluster, self.strings)
         self.clock = VirtualClock(cfg.stream_start_ms)
 
         self.schemas: Dict[str, StreamSchema] = {}
@@ -175,8 +155,8 @@ class WukongSEngine:
         self.temporal = TemporalEngine(
             self.cluster, self.store, self.coordinator, self.oneshot_engine)
         #: Query text -> parsed AST for repeated one-shot submissions
-        #: (bounded; parsing is pure so entries never go stale).
-        self._oneshot_parse_cache: Dict[str, Query] = {}
+        #: (parsing is pure, so entries never go stale).
+        self.parse_cache: BoundedLRU[Query] = BoundedLRU(256)
         self.gc = GarbageCollector(
             self.registry, self.transients, self.continuous,
             cfg.batch_interval_ms, cfg.stream_start_ms,
@@ -188,11 +168,10 @@ class WukongSEngine:
             num_nodes=cfg.num_nodes) \
             if cfg.fault_tolerance else None
 
-        #: Adaptive controllers (``repro.core.replan``); None unless the
-        #: matching config knob opted in.  Imported at runtime: the stats
+        #: Adaptive re-planning (``repro.core.replan``); None unless
+        #: ``adaptive_replan`` opted in.  Imported at runtime: the stats
         #: module imports this one for type access.
         self.plan_monitor = None
-        self.adjacency_budget = None
         if cfg.adaptive_replan:
             from repro.core.replan import PlanMonitor
             from repro.core.stats import PredicateStatistics
@@ -201,11 +180,6 @@ class WukongSEngine:
                 check_every_closes=cfg.replan_check_closes,
                 hysteresis=cfg.replan_hysteresis,
                 cooldown_closes=cfg.replan_cooldown_closes)
-        if cfg.adjacency_cache_adaptive:
-            from repro.core.replan import AdjacencyBudget
-            self.adjacency_budget = AdjacencyBudget(
-                self.store, min_capacity=cfg.adjacency_cache_min,
-                max_capacity=cfg.adjacency_cache_max)
 
         self.injection_records: List[InjectionRecord] = []
         self._initial_triples: List[Triple] = []
@@ -213,10 +187,6 @@ class WukongSEngine:
         #: Optional chaos controller (``repro.chaos``); None on the healthy
         #: path, where every hook below short-circuits.
         self.chaos = None
-        #: One-shot parse-cache counters (always on; surfaced by
-        #: ``core.stats.collect_stats`` and ``repro.obs``).
-        self.parse_cache_hits = 0
-        self.parse_cache_misses = 0
         #: Observability (``repro.obs``): both None unless enabled — the
         #: hot paths gate every hook on that, so trace-off runs pay one
         #: attribute check per site.
@@ -257,8 +227,6 @@ class WukongSEngine:
         if self.plan_monitor is not None:
             self.plan_monitor.tracer = tracer
             self.plan_monitor.metrics = metrics
-        if self.adjacency_budget is not None:
-            self.adjacency_budget.metrics = metrics
         return tracer, metrics
 
     # -- stream wiring -----------------------------------------------------
@@ -330,16 +298,10 @@ class WukongSEngine:
                 home_node: Optional[int] = None) -> OneShotRecord:
         """Execute a one-shot SPARQL query at the stable snapshot."""
         if isinstance(query, str):
-            parsed = self._oneshot_parse_cache.get(query)
+            parsed = self.parse_cache.get(query)
             if parsed is None:
-                self.parse_cache_misses += 1
                 parsed = parse_query(query)
-                cache = self._oneshot_parse_cache
-                if len(cache) >= 256:
-                    del cache[next(iter(cache))]
-                cache[query] = parsed
-            else:
-                self.parse_cache_hits += 1
+                self.parse_cache.put(query, parsed)
         else:
             parsed = query
         contended = bool(self.continuous.queries)
@@ -459,13 +421,11 @@ class WukongSEngine:
                 pause_ps = self.checkpoints.last_checkpoint_pause_ps
                 for record in records:
                     record.meter.charge_ps(pause_ps, category="checkpoint")
-            # Adaptive controllers run *after* the poll, so a plan swap
+            # The plan monitor runs *after* the poll, so a plan swap
             # always lands between window closes (never mid-close) and
             # the next due close runs the new plan from its first step.
             if self.plan_monitor is not None:
                 self.plan_monitor.on_tick(now)
-            if self.adjacency_budget is not None:
-                self.adjacency_budget.on_tick()
         else:
             self.continuous.note_gaps(now)
             records = []
@@ -599,11 +559,7 @@ class WukongSEngine:
         from repro.store.kvstore import ShardStore
         self.cluster.kill_node(node_id)
         self.coordinator.mark_node_down(node_id)
-        self.store.shards[node_id] = ShardStore(
-            self.config.cost,
-            adjacency_capacity=self.config.adjacency_cache_capacity,
-            adjacency_policy=self.config.adjacency_cache_policy,
-            adjacency_weighted=self.config.adjacency_cache_weighted)
+        self.store.shards[node_id] = ShardStore(self.config.cost)
         for shards in self.transients.values():
             shards[node_id] = TransientStore(
                 shards[node_id].stream, cost=self.config.cost,

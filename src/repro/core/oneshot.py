@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
+from repro.core.cache import BoundedLRU
 from repro.core.coordinator import Coordinator
 from repro.sim.cluster import Cluster
 from repro.sim.cost import LatencyMeter, scale_ps
@@ -25,10 +26,6 @@ from repro.sparql.ast import Query
 from repro.sparql.planner import ExecutionPlan, plan_order, plan_query
 from repro.store.distributed import DistributedStore, PersistentAccess
 from repro.store.executor import ExecutionResult, GraphExplorer
-
-#: Bound on cached compiled plans (FIFO eviction).
-PLAN_CACHE_CAPACITY = 128
-
 
 @dataclass
 class OneShotRecord:
@@ -57,10 +54,7 @@ class OneShotEngine:
         self._next_home = 0
         self._stats = None  # lazy: avoids a core.stats import cycle
         #: (normalized AST, pattern order) -> planned-and-compiled plan.
-        self._plan_cache: Dict[Tuple, ExecutionPlan] = {}
-        #: Wall-clock-only cache effectiveness counters (never charged).
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
+        self.plan_cache: BoundedLRU[ExecutionPlan] = BoundedLRU(128)
         #: Observability hooks (attached by ``engine.enable_observability``).
         self.tracer = None
         self.metrics = None
@@ -84,16 +78,10 @@ class OneShotEngine:
         """
         order = plan_order(query.patterns, stats=self._statistics())
         key = (query.cache_key(), tuple(order))
-        plan = self._plan_cache.get(key)
+        plan = self.plan_cache.get(key)
         if plan is None:
-            self.plan_cache_misses += 1
-            cache = self._plan_cache
-            if len(cache) >= PLAN_CACHE_CAPACITY:
-                del cache[next(iter(cache))]
             plan = plan_query(query, fixed_order=order)
-            cache[key] = plan
-        else:
-            self.plan_cache_hits += 1
+            self.plan_cache.put(key, plan)
         return plan
 
     def execute(self, query: Query, home_node: Optional[int] = None,

@@ -373,10 +373,10 @@ def collect_stats(engine: WukongSEngine) -> EngineStats:
             delta_hits += view.delta_hits
             delta_misses += view.delta_misses
     caches = CacheStats(
-        plan_hits=engine.oneshot_engine.plan_cache_hits,
-        plan_misses=engine.oneshot_engine.plan_cache_misses,
-        parse_hits=engine.parse_cache_hits,
-        parse_misses=engine.parse_cache_misses,
+        plan_hits=engine.oneshot_engine.plan_cache.hits,
+        plan_misses=engine.oneshot_engine.plan_cache.misses,
+        parse_hits=engine.parse_cache.hits,
+        parse_misses=engine.parse_cache.misses,
         adjacency_hits=sum(s.adjacency_hits for s in engine.store.shards),
         adjacency_misses=sum(s.adjacency_misses
                              for s in engine.store.shards),
@@ -391,9 +391,9 @@ def collect_stats(engine: WukongSEngine) -> EngineStats:
         window_evictions=window_evictions,
         window_delta_hits=delta_hits,
         window_delta_misses=delta_misses,
-        temporal_plan_hits=engine.temporal.plan_cache_hits,
-        temporal_plan_misses=engine.temporal.plan_cache_misses,
-        temporal_plan_evictions=engine.temporal.plan_cache_evictions,
+        temporal_plan_hits=engine.temporal.plan_cache.hits,
+        temporal_plan_misses=engine.temporal.plan_cache.misses,
+        temporal_plan_evictions=engine.temporal.plan_cache.evictions,
         temporal_batch_executions=engine.temporal.batch_executions,
     )
     queries = []

@@ -144,6 +144,14 @@ class MetricsRegistry:
         return "\n".join(lines)
 
 
+def export_cache(registry: MetricsRegistry, prefix: str, cache) -> None:
+    """Set ``{prefix}_hits``/``_misses``/``_evictions`` from the counters
+    of a :class:`~repro.core.cache.BoundedLRU`."""
+    registry.counter(f"{prefix}_hits").value = cache.hits
+    registry.counter(f"{prefix}_misses").value = cache.misses
+    registry.counter(f"{prefix}_evictions").value = cache.evictions
+
+
 def collect_metrics(engine, registry: Optional[MetricsRegistry] = None,
                     proxies=None, serving=None) -> MetricsRegistry:
     """Pull every subsystem's always-on counters into ``registry``.
@@ -160,31 +168,19 @@ def collect_metrics(engine, registry: Optional[MetricsRegistry] = None,
     if registry is None:
         registry = engine.metrics if engine.metrics is not None \
             else MetricsRegistry()
-    # Plan / parse caches (one-shot fast path).
-    oneshot = engine.oneshot_engine
-    registry.counter("plan_cache_hits").value = oneshot.plan_cache_hits
-    registry.counter("plan_cache_misses").value = oneshot.plan_cache_misses
-    registry.counter("parse_cache_hits").value = engine.parse_cache_hits
-    registry.counter("parse_cache_misses").value = engine.parse_cache_misses
-    # Continuous plan cache (re-plans miss into it by design: a new
-    # ordering is a new key, hence a fresh compiled executor).
-    continuous = engine.continuous
-    registry.counter("continuous_plan_cache_hits").value = \
-        continuous.plan_cache_hits
-    registry.counter("continuous_plan_cache_misses").value = \
-        continuous.plan_cache_misses
-    # Temporal interval path: compiled-plan LRU and execution count
-    # (temporal_snapshot_reads / temporal_version_entries / temporal_ns
-    # are pushed per-execution by the temporal engine itself).
-    temporal = engine.temporal
-    registry.counter("temporal_plan_cache_hits").value = \
-        temporal.plan_cache_hits
-    registry.counter("temporal_plan_cache_misses").value = \
-        temporal.plan_cache_misses
-    registry.counter("temporal_plan_cache_evictions").value = \
-        temporal.plan_cache_evictions
+    # Plan / parse caches.  The continuous plan cache is keyed by
+    # ordering too, so re-plans miss into it by design (a new ordering is
+    # a new key, hence a fresh compiled executor).
+    export_cache(registry, "plan_cache", engine.oneshot_engine.plan_cache)
+    export_cache(registry, "parse_cache", engine.parse_cache)
+    export_cache(registry, "continuous_plan_cache",
+                 engine.continuous.plan_cache)
+    export_cache(registry, "temporal_plan_cache", engine.temporal.plan_cache)
+    # Temporal interval executions (temporal_snapshot_reads /
+    # temporal_version_entries / temporal_ns are pushed per-execution by
+    # the temporal engine itself).
     registry.counter("temporal_batch_executions").value = \
-        temporal.batch_executions
+        engine.temporal.batch_executions
     # Adaptive re-planning decisions (repro.core.replan); the per-query
     # planner_replans / planner_replan_skipped_* counters and the
     # estimated-vs-actual cost gauges are pushed by the monitor itself
@@ -197,10 +193,6 @@ def collect_metrics(engine, registry: Optional[MetricsRegistry] = None,
             monitor.skipped_hysteresis
         registry.counter("planner_replans_skipped_cooldown_total").value = \
             monitor.skipped_cooldown
-    budget = getattr(engine, "adjacency_budget", None)
-    if budget is not None:
-        registry.counter("adjacency_budget_grows").value = budget.grows
-        registry.counter("adjacency_budget_shrinks").value = budget.shrinks
     # Adjacency-segment caches, per shard and total.
     hits = misses = evictions = entries = 0
     for node_id, shard in enumerate(engine.store.shards):

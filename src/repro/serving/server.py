@@ -205,20 +205,6 @@ class ServingLayer:
         self.registry.release(subscription.entry, subscription)
         self.tenant(subscription.tenant).subscriptions -= 1
 
-    def disconnect_tenant(self, tenant: str) -> int:
-        """A tenant's session ends mid-flight: cancel its subscriptions
-        and discard its queued one-shots (removing its scheduler ring
-        slot without disturbing the rotation; see
-        :meth:`FairScheduler.remove_tenant`).  Returns the number of
-        queued one-shots discarded.  The tenant's latency history stays
-        for reporting; a later submission re-enters normally.
-        """
-        for entry in list(self.registry.entries()):
-            for subscription in list(entry.subscribers):
-                if subscription.tenant == tenant:
-                    self.unregister(subscription)
-        return self.scheduler.remove_tenant(tenant)
-
     # -- one-shot traffic --------------------------------------------------
     def submit(self, tenant: str, text: str,
                home_node: Optional[int] = None) -> OneshotRequest:

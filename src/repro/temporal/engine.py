@@ -20,7 +20,7 @@ Execution splits by query shape, with one path each:
   (:mod:`repro.temporal.kernels`) over batched version-carrying store
   reads.
 
-Compiled interval plans are LRU-cached (:data:`PLAN_CACHE_CAPACITY`)
+Compiled interval plans are LRU-cached (:attr:`TemporalEngine.plan_cache`)
 keyed by AST, ordering, and snapshot, with hit/miss/eviction counters
 surfaced in ``CacheStats``.
 
@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional
 
+from repro.core.cache import BoundedLRU
 from repro.core.coordinator import Coordinator
 from repro.core.oneshot import OneShotEngine, OneShotRecord
 from repro.errors import UnsupportedOperationError
@@ -49,12 +50,6 @@ from repro.temporal.kernels import (CompiledIntervalPlan, IntervalCounters,
 
 #: Bound on retained per-execution records (oldest dropped first).
 RECORD_CAPACITY = 4096
-
-#: Bound on cached compiled interval plans.  The cache key includes the
-#: query's ``cache_key()`` — which carries the read snapshot — so a
-#: client sweeping snapshots mints a fresh key per sweep step; without
-#: eviction the cache would grow without limit (LRU, oldest-use first).
-PLAN_CACHE_CAPACITY = 128
 
 
 @dataclass
@@ -116,13 +111,11 @@ class TemporalEngine:
         #: Completed executions (bounded), newest last; the ablation
         #: report reads traversal statistics from here.
         self.records: List[TemporalRecord] = []
-        #: Compiled interval plans, LRU-bounded at
-        #: :data:`PLAN_CACHE_CAPACITY` entries, keyed
-        #: ``(query.cache_key(), order)`` — AST + ordering + snapshot.
-        self._plan_cache: Dict[tuple, CompiledIntervalPlan] = {}
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
-        self.plan_cache_evictions = 0
+        #: Compiled interval plans keyed ``(query.cache_key(), order)``
+        #: — AST + ordering + snapshot.  The key carries the read
+        #: snapshot, so a client sweeping snapshots mints a fresh key per
+        #: sweep step; the bound keeps such sweeps from growing it.
+        self.plan_cache: BoundedLRU[CompiledIntervalPlan] = BoundedLRU(128)
         #: Interval executions (snapshot-only delegations are counted by
         #: the one-shot engine's own executor counters).
         self.batch_executions = 0
@@ -140,19 +133,11 @@ class TemporalEngine:
         stats = self.oneshot._statistics()
         order = plan_order(query.patterns, stats=stats)
         key = (query.cache_key(), tuple(order))
-        cache = self._plan_cache
-        plan = cache.pop(key, None)
-        if plan is not None:
-            self.plan_cache_hits += 1
-            cache[key] = plan  # re-insert: most recently used
-            return plan
-        self.plan_cache_misses += 1
-        plan = CompiledIntervalPlan(
-            query, plan_steps(query.patterns, stats=stats))
-        cache[key] = plan
-        if len(cache) > PLAN_CACHE_CAPACITY:
-            del cache[next(iter(cache))]
-            self.plan_cache_evictions += 1
+        plan = self.plan_cache.get(key)
+        if plan is None:
+            plan = CompiledIntervalPlan(
+                query, plan_steps(query.patterns, stats=stats))
+            self.plan_cache.put(key, plan)
         return plan
 
     def execute(self, query: Query, home_node: Optional[int] = None,

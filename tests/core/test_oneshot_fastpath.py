@@ -10,9 +10,9 @@ pipeline:
 * **Ordering is deterministic** — two identically built engines pick
   identical plan orders (statistics are pure functions of store state).
 * **The caches are transparent** — the compiled-plan and query-parse
-  caches return reused objects without changing results and stay
-  bounded.  (The S queries' exact rows and charges are pinned by
-  ``test_pinned_charges``.)
+  caches return reused objects without changing results, and every
+  plan, parse and procedure cache stays bounded.  (The S queries' exact
+  rows and charges are pinned by ``test_pinned_charges``.)
 """
 
 import random
@@ -22,7 +22,7 @@ import pytest
 from repro.bench.citybench import CityBench, CityBenchConfig
 from repro.bench.harness import build_wukongs
 from repro.bench.lsbench import LSBench, LSBenchConfig
-from repro.core.oneshot import PLAN_CACHE_CAPACITY
+from repro.client.library import ClientLibrary
 from repro.sim.cost import LatencyMeter
 from repro.sparql.parser import parse_query
 from repro.sparql.planner import plan_order, plan_query
@@ -130,19 +130,40 @@ def test_plan_cache_reuses_compiled_plans(ls_engine):
         parse_query(bench.oneshot_query("S6"))) is first
 
 
-def test_plan_cache_stays_bounded(ls_engine):
+def _ghost(i):
+    """A distinct query text per ``i`` (about an unknown vertex)."""
+    return f"SELECT ?P WHERE {{ ghost{i} po ?P }}"
+
+
+@pytest.mark.parametrize("which", ["oneshot_plan", "continuous_plan",
+                                   "temporal_plan", "parse", "procedure"])
+def test_plan_cache_stays_bounded(ls_engine, which):
+    """More distinct texts than the capacity never grow a cache past it."""
     bench, engine = ls_engine
-    for i in range(PLAN_CACHE_CAPACITY + 20):
-        engine.oneshot_engine.plan(
-            parse_query(f"SELECT ?P WHERE {{ ghost{i} po ?P }}"))
-    assert len(engine.oneshot_engine._plan_cache) <= PLAN_CACHE_CAPACITY
+    client = ClientLibrary(engine)
+    cache, send = {
+        "oneshot_plan": (engine.oneshot_engine.plan_cache, lambda i:
+                         engine.oneshot_engine.plan(parse_query(_ghost(i)))),
+        "continuous_plan": (engine.continuous.plan_cache, lambda i:
+                            engine.continuous._plan_for(
+                                parse_query(_ghost(i)), (0,))),
+        "temporal_plan": (engine.temporal.plan_cache, lambda i:
+                          engine.temporal._plan_interval(parse_query(
+                              f"SELECT ?P ?ts WHERE "
+                              f"{{ ghost{i} po ?P [?ts, ?te) }}"))),
+        "parse": (engine.parse_cache, lambda i: engine.oneshot(_ghost(i))),
+        "procedure": (client.cache, lambda i: client.prepare(_ghost(i))),
+    }[which]
+    for i in range(cache.capacity + 20):
+        send(i)
+    assert len(cache) <= cache.capacity
 
 
 def test_parse_cache_reuses_parsed_queries(ls_engine):
     bench, engine = ls_engine
     text = bench.oneshot_query("S3")
     engine.oneshot(text)
-    cached = engine._oneshot_parse_cache.get(text)
+    cached = engine.parse_cache.get(text)
     assert cached is not None
     engine.oneshot(text)
-    assert engine._oneshot_parse_cache.get(text) is cached
+    assert engine.parse_cache.get(text) is cached

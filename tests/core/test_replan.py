@@ -20,7 +20,7 @@ import pytest
 
 from repro.chaos.state import engine_state_digest
 from repro.core.engine import EngineConfig, WukongSEngine
-from repro.core.replan import AdjacencyBudget, PlanMonitor
+from repro.core.replan import PlanMonitor
 from repro.core.stats import PredicateStatistics, StatsSnapshot
 from repro.rdf.parser import parse_timed_tuples
 from repro.streams.source import StreamSource
@@ -274,8 +274,6 @@ def test_monitor_rejects_bad_parameters():
         PlanMonitor(engine.continuous, stats, hysteresis=0.9)
     with pytest.raises(ValueError):
         PlanMonitor(engine.continuous, stats, cooldown_closes=0)
-    with pytest.raises(ValueError):
-        AdjacencyBudget(engine.store, min_capacity=16, max_capacity=8)
 
 
 # -- plan cache: swaps never serve a stale compiled executor --------------
@@ -284,7 +282,7 @@ def test_plan_cache_keyed_by_order_swaps_and_reuses():
     engine, handle = _build(adaptive=False)
     continuous = engine.continuous
     original_plan = handle.plan
-    misses_before = continuous.plan_cache_misses
+    misses_before = continuous.plan_cache.misses
 
     swapped = continuous.swap_plan(handle, (1, 0))
     assert swapped is not original_plan
@@ -292,15 +290,15 @@ def test_plan_cache_keyed_by_order_swaps_and_reuses():
         [s.kind for s in original_plan.steps] or \
         [s.pattern for s in swapped.steps] != \
         [s.pattern for s in original_plan.steps]
-    assert continuous.plan_cache_misses == misses_before + 1
+    assert continuous.plan_cache.misses == misses_before + 1
 
     # Swapping back reuses the original plan object — and with it the
     # executor's compiled form, which is always compiled from the plan's
     # own step order, so no stale order can ever be served.
-    hits_before = continuous.plan_cache_hits
+    hits_before = continuous.plan_cache.hits
     back = continuous.swap_plan(handle, (0, 1))
     assert back is original_plan
-    assert continuous.plan_cache_hits == hits_before + 1
+    assert continuous.plan_cache.hits == hits_before + 1
     assert handle.plan_order == (0, 1)
 
 

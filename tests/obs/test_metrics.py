@@ -1,5 +1,6 @@
 """Metrics registry semantics and the collect_metrics engine sweep."""
 
+from repro.core.cache import BoundedLRU
 from repro.core.engine import EngineConfig, WukongSEngine
 from repro.obs.metrics import MetricsRegistry, collect_metrics
 from repro.rdf.parser import parse_timed_tuples, parse_triples
@@ -63,6 +64,8 @@ def _tiny_engine(ticks=6):
 
 def test_collect_metrics_pulls_cache_counters():
     engine = _tiny_engine()
+    # A one-entry parse cache: the third text evicts the first.
+    engine.parse_cache = BoundedLRU(1)
     text = "SELECT ?X WHERE { a fo ?X }"
     engine.oneshot(text)
     engine.oneshot(text)  # plan + parse cache hits
@@ -74,6 +77,10 @@ def test_collect_metrics_pulls_cache_counters():
     assert snap["counters"]["parse_cache_misses"] == 2
     assert snap["counters"]["plan_cache_hits"] == 1
     assert snap["counters"]["plan_cache_misses"] == 2
+    assert snap["counters"]["parse_cache_evictions"] == 1
+    for prefix in ("plan_cache", "continuous_plan_cache",
+                   "temporal_plan_cache"):
+        assert snap["counters"][f"{prefix}_evictions"] == 0
     assert snap["counters"]["adjacency_cache_misses"] > 0
     assert snap["counters"]["tuples_injected"] > 0
     assert snap["gauges"]["store_entries"] > 0
